@@ -19,30 +19,11 @@
 use mm_mapspace::{MapSpaceView, Mapping, ProblemSpec};
 use mm_search::{ProposalBuf, ProposalSearch, SyncAction};
 use rand::rngs::StdRng;
-use rand::Rng;
 
 use crate::config::Phase2Config;
+use crate::gradient_search::Trajectory;
 use crate::surrogate::Surrogate;
 use crate::MindMappingsError;
-
-/// The live trajectory state of one run.
-#[derive(Debug, Clone)]
-struct TrajectoryState {
-    /// Whitened input vector at the current point.
-    x: Vec<f32>,
-    /// Current (valid, projected) mapping.
-    current: Mapping,
-    /// Whether the initial mapping has been proposed yet.
-    proposed_initial: bool,
-    temperature: f64,
-    injections: u64,
-    iteration: u64,
-    /// Injections between temperature decays for *this* run: the config
-    /// value, or its horizon-compressed version when
-    /// [`Phase2Config::shard_horizon`] applies (see
-    /// [`ProposalSearch::begin`]).
-    decay_every: u64,
-}
 
 /// Temperature decays the compressed injection schedule targets within a
 /// hinted horizon: `0.75^16 ≈ 1%` of the initial temperature, the
@@ -55,7 +36,13 @@ pub struct GradientProposer {
     surrogate: Surrogate,
     problem: ProblemSpec,
     config: Phase2Config,
-    state: Option<TrajectoryState>,
+    /// The live trajectory of one run. Its decay cadence is the config
+    /// value, or the horizon-compressed one when
+    /// [`Phase2Config::shard_horizon`] applies (see
+    /// [`ProposalSearch::begin`]).
+    trajectory: Option<Trajectory>,
+    /// Whether the run's starting mapping has been proposed yet.
+    proposed_initial: bool,
     /// An incumbent observed before [`ProposalSearch::begin`]: the next
     /// trajectory starts from it instead of a random mapping (used by the
     /// sequential sharded Phase-2 search to warm-start shard `s+1` on the
@@ -83,67 +70,10 @@ impl GradientProposer {
             surrogate: surrogate.clone(),
             problem,
             config,
-            state: None,
+            trajectory: None,
+            proposed_initial: false,
             pending_anchor: None,
         })
-    }
-
-    /// Advance the surrogate trajectory by one iteration and return the
-    /// resulting (projected, valid) mapping.
-    fn step(&mut self, space: &dyn MapSpaceView, rng: &mut StdRng) -> Mapping {
-        let cfg = &self.config;
-        // mm-lint: allow(panic): calling the strategy outside a begin()
-        // session is a driver bug, not a recoverable state.
-        let state = self.state.as_mut().expect("begin() not called");
-        state.iteration += 1;
-        let mapping_offset = self.surrogate.encoding().mapping_offset();
-
-        // Gradient of the surrogate's predicted cost w.r.t. the mapping.
-        let mut grad = self.surrogate.normalized_edp_gradient(&state.x);
-        // The problem id is held constant (Section 4.2): zero its gradient.
-        for g in grad.iter_mut().take(mapping_offset) {
-            *g = 0.0;
-        }
-        if cfg.normalize_gradient {
-            let norm: f32 = grad.iter().map(|g| g * g).sum::<f32>().sqrt();
-            if norm > 1e-12 {
-                for g in &mut grad {
-                    *g /= norm;
-                }
-            }
-        }
-        // Step in whitened space, then project back onto the map space.
-        for (xi, gi) in state.x.iter_mut().zip(&grad) {
-            *xi -= cfg.learning_rate * gi;
-        }
-        let raw = self.surrogate.decode_normalized(&state.x);
-        state.current = space
-            .project(&raw)
-            .unwrap_or_else(|_| space.random_mapping(rng));
-        state.x = self
-            .surrogate
-            .encode_normalized(&self.problem, &state.current);
-        let projected_pred = self.surrogate.predict_normalized_edp_from_input(&state.x);
-
-        // Periodic random injection with annealed acceptance (Appendix A).
-        if cfg.injection_interval > 0 && state.iteration.is_multiple_of(cfg.injection_interval) {
-            let candidate = space.random_mapping(rng);
-            let cand_x = self.surrogate.encode_normalized(&self.problem, &candidate);
-            let cand_pred = self.surrogate.predict_normalized_edp_from_input(&cand_x);
-            let accept = cand_pred <= projected_pred || {
-                let delta = cand_pred - projected_pred;
-                rng.gen_range(0.0..1.0) < (-delta / state.temperature.max(1e-12)).exp()
-            };
-            if accept {
-                state.current = candidate;
-                state.x = cand_x;
-            }
-            state.injections += 1;
-            if state.decay_every > 0 && state.injections.is_multiple_of(state.decay_every) {
-                state.temperature *= cfg.temperature_decay;
-            }
-        }
-        state.current.clone()
     }
 }
 
@@ -178,23 +108,24 @@ impl ProposalSearch for GradientProposer {
         // disjoint slice, and the first proposal is emitted verbatim — so
         // repair pins the anchor into this view before it seeds the
         // trajectory (later steps stay in-shard via `space.project`).
-        let current = match self.pending_anchor.take() {
+        let start = match self.pending_anchor.take() {
             Some(mut anchor) => {
                 space.repair(&mut anchor);
                 anchor
             }
             None => space.random_mapping(rng),
         };
-        let x = self.surrogate.encode_normalized(&self.problem, &current);
-        self.state = Some(TrajectoryState {
-            x,
-            current,
-            proposed_initial: false,
-            temperature: self.config.initial_temperature,
-            injections: 0,
-            iteration: 0,
-            decay_every,
-        });
+        let config = Phase2Config {
+            decay_every_injections: decay_every,
+            ..self.config
+        };
+        self.trajectory = Some(Trajectory::new(
+            &self.surrogate,
+            &self.problem,
+            start,
+            config,
+        ));
+        self.proposed_initial = false;
     }
 
     /// The trajectory is independent of reported costs, so proposals can run
@@ -210,31 +141,21 @@ impl ProposalSearch for GradientProposer {
         max: usize,
         out: &mut ProposalBuf,
     ) {
-        {
-            // mm-lint: allow(panic): see step() — outside-session calls are
-            // driver bugs.
-            let state = self.state.as_mut().expect("begin() not called");
-            if !state.proposed_initial {
-                state.proposed_initial = true;
-                out.push(state.current.clone());
-            }
+        // mm-lint: allow(panic): calling the strategy outside a begin()
+        // session is a driver bug, not a recoverable state.
+        let trajectory = self.trajectory.as_mut().expect("begin() not called");
+        if !self.proposed_initial {
+            self.proposed_initial = true;
+            out.next_slot().clone_from(&trajectory.current);
         }
         // One surrogate iteration per proposal; skip consecutive duplicates
         // (a rounded-back gradient step) up to a bounded number of retries
         // so stuck trajectories still emit.
         let mut retries = 0usize;
         while out.len() < max.max(1) && retries < 4 * max.max(1) {
-            let before = self
-                .state
-                .as_ref()
-                // mm-lint: allow(panic): see step() — outside-session calls
-                // are driver bugs.
-                .expect("begin() not called")
-                .current
-                .clone();
-            let next = self.step(space, rng);
-            if next != before || out.is_empty() {
-                out.push(next);
+            let moved = trajectory.step(&self.surrogate, &self.problem, space, rng, |_, _| {});
+            if moved || out.is_empty() {
+                out.next_slot().clone_from(&trajectory.current);
             } else {
                 retries += 1;
             }
@@ -260,14 +181,11 @@ impl ProposalSearch for GradientProposer {
         action: SyncAction,
         _rng: &mut StdRng,
     ) {
-        let initial_temperature = self.config.initial_temperature;
-        match self.state.as_mut() {
-            Some(state) => {
-                state.current = mapping.clone();
-                state.x = self.surrogate.encode_normalized(&self.problem, mapping);
+        match self.trajectory.as_mut() {
+            Some(trajectory) => {
+                trajectory.move_to(&self.surrogate, &self.problem, mapping.clone());
                 if action == SyncAction::Restart {
-                    state.temperature = initial_temperature;
-                    state.injections = 0;
+                    trajectory.restart_schedule();
                 }
             }
             None => self.pending_anchor = Some(mapping.clone()),
@@ -333,11 +251,15 @@ mod tests {
         let space = MapSpace::new(problem.clone(), s.arch().mapping_constraints());
         let shard = space.shard(0, 4);
         let mut rng = StdRng::seed_from_u64(6);
+        let cadence = |gp: &GradientProposer| {
+            let trajectory = gp.trajectory.as_ref().unwrap();
+            trajectory.config.decay_every_injections
+        };
 
         // Default cadence: 50 injections per decay regardless of horizon.
         let mut gp = GradientProposer::new(&s, problem.clone(), Phase2Config::default()).unwrap();
         gp.begin(&shard, Some(320), &mut rng);
-        assert_eq!(gp.state.as_ref().unwrap().decay_every, 50);
+        assert_eq!(cadence(&gp), 50);
 
         // Compressed: a 320-eval horizon (as handed by the driver — raw
         // share or an orchestrator's shard-scaled hint) fits the whole
@@ -348,8 +270,7 @@ mod tests {
         };
         let mut gp = GradientProposer::new(&s, problem.clone(), cfg).unwrap();
         gp.begin(&shard, Some(320), &mut rng);
-        let compressed = gp.state.as_ref().unwrap().decay_every;
-        assert_eq!(compressed, 2, "cadence must compress to the horizon");
+        assert_eq!(cadence(&gp), 2, "cadence must compress to the horizon");
         // Disabled decay stays disabled.
         let cfg = Phase2Config {
             shard_horizon: true,
@@ -358,7 +279,7 @@ mod tests {
         };
         let mut gp = GradientProposer::new(&s, problem, cfg).unwrap();
         gp.begin(&shard, Some(320), &mut rng);
-        assert_eq!(gp.state.as_ref().unwrap().decay_every, 0);
+        assert_eq!(cadence(&gp), 0);
     }
 
     #[test]

@@ -20,15 +20,156 @@
 
 use std::time::Instant;
 
-use mm_accel::CostModel;
-use mm_mapspace::{MapSpace, Mapping, ProblemSpec};
+use mm_accel::{CostModel, EvalScratch};
+use mm_mapspace::{MapSpace, MapSpaceView, Mapping, ProblemSpec};
+use mm_nn::ForwardCache;
 use mm_search::{Budget, SearchTrace};
 use rand::rngs::StdRng;
 use rand::Rng;
 
 use crate::config::Phase2Config;
-use crate::surrogate::Surrogate;
+use crate::surrogate::{GradientScratch, Surrogate};
 use crate::MindMappingsError;
+
+/// One surrogate-side trajectory of the Section-4.2 search, shared by
+/// [`GradientSearch`] and [`GradientProposer`](crate::GradientProposer).
+///
+/// Beside the point it sits at, a trajectory keeps the activations and the
+/// prediction of the forward pass taken there, so a [`step`](Self::step)
+/// costs one backward pass (from the kept activations) and one forward pass
+/// (at the point it lands on, kept for the next step). All its buffers are
+/// reused: after the first step the network part allocates nothing.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Trajectory {
+    /// The knobs of this run (`decay_every_injections` is the run's own
+    /// cadence, which the proposer may have compressed to its horizon).
+    pub(crate) config: Phase2Config,
+    /// Current (valid, projected) mapping.
+    pub(crate) current: Mapping,
+    /// The mapping the last step started from.
+    previous: Mapping,
+    /// Whitened input vector of `current`, the activations of the
+    /// surrogate's forward pass there, and its predicted normalized EDP.
+    x: Vec<f32>,
+    activations: ForwardCache,
+    predicted: f64,
+    /// The same for an injection candidate; they trade places with `x` and
+    /// `activations` when the candidate is accepted.
+    candidate_x: Vec<f32>,
+    candidate_activations: ForwardCache,
+    /// The un-whitened mapping values handed to `project`.
+    raw_mapping: Vec<f32>,
+    gradient: GradientScratch,
+    temperature: f64,
+    injections: u64,
+    pub(crate) iteration: u64,
+}
+
+impl Trajectory {
+    /// A trajectory sitting at `start` with a fresh annealing schedule.
+    pub(crate) fn new(
+        surrogate: &Surrogate,
+        problem: &ProblemSpec,
+        start: Mapping,
+        config: Phase2Config,
+    ) -> Self {
+        let mut trajectory = Trajectory {
+            config,
+            ..Trajectory::default()
+        };
+        trajectory.restart_schedule();
+        trajectory.move_to(surrogate, problem, start);
+        trajectory
+    }
+
+    /// Back to the initial temperature, with no injections counted.
+    pub(crate) fn restart_schedule(&mut self) {
+        self.temperature = self.config.initial_temperature;
+        self.injections = 0;
+    }
+
+    /// Jump to `mapping`: encode it and take the forward pass there.
+    pub(crate) fn move_to(&mut self, surrogate: &Surrogate, problem: &ProblemSpec, to: Mapping) {
+        self.current = to;
+        surrogate.encode_normalized_into(problem, &self.current, &mut self.x);
+        self.predicted = surrogate.predict_normalized_edp_into(&self.x, &mut self.activations);
+    }
+
+    /// One iteration of Section 4.2: gradient of the predicted cost at the
+    /// current point, a step against it in whitened space, projection back
+    /// onto `space`, and — every `injection_interval` iterations — a random
+    /// candidate accepted with annealed probability. Returns whether the
+    /// mapping changed. `landed` sees every point the trajectory lands on
+    /// (the projected one, then an accepted candidate) with its prediction.
+    ///
+    /// The RNG is drawn from only when `project` fails (fallback mapping),
+    /// for an injection candidate, and for the acceptance draw of a
+    /// candidate that predicts worse — in that order.
+    // mm-lint: hot-path — the network part must not allocate (`project` and
+    // `random_mapping` return fresh mappings).
+    pub(crate) fn step(
+        &mut self,
+        surrogate: &Surrogate,
+        problem: &ProblemSpec,
+        space: &dyn MapSpaceView,
+        rng: &mut StdRng,
+        mut landed: impl FnMut(&Mapping, f64),
+    ) -> bool {
+        let cfg = self.config;
+        self.iteration += 1;
+
+        // The problem id is held constant (Section 4.2): only the mapping
+        // part of the gradient is normalized and applied.
+        let offset = surrogate.encoding().mapping_offset();
+        let grad = surrogate.normalized_edp_gradient_into(&self.activations, &mut self.gradient);
+        let grad = &grad[offset..];
+        let mut divisor = 1.0f32;
+        if cfg.normalize_gradient {
+            let norm = grad.iter().map(|g| g * g).sum::<f32>().sqrt();
+            if norm > 1e-12 {
+                divisor = norm;
+            }
+        }
+        for (xi, g) in self.x[offset..].iter_mut().zip(grad) {
+            *xi -= cfg.learning_rate * (g / divisor);
+        }
+
+        // Project back onto the map space and take the forward pass there.
+        surrogate.decode_normalized_into(&self.x, &mut self.raw_mapping);
+        std::mem::swap(&mut self.current, &mut self.previous);
+        let projected = space
+            .project(&self.raw_mapping)
+            .unwrap_or_else(|_| space.random_mapping(rng));
+        self.move_to(surrogate, problem, projected);
+        landed(&self.current, self.predicted);
+
+        // Periodic random injection with annealed acceptance (Appendix A).
+        if cfg.injection_interval > 0 && self.iteration.is_multiple_of(cfg.injection_interval) {
+            let candidate = space.random_mapping(rng);
+            surrogate.encode_normalized_into(problem, &candidate, &mut self.candidate_x);
+            let candidate_pred = surrogate
+                .predict_normalized_edp_into(&self.candidate_x, &mut self.candidate_activations);
+            let accept = candidate_pred <= self.predicted || {
+                let delta = candidate_pred - self.predicted;
+                rng.gen_range(0.0..1.0) < (-delta / self.temperature.max(1e-12)).exp()
+            };
+            if accept {
+                self.current = candidate;
+                std::mem::swap(&mut self.x, &mut self.candidate_x);
+                std::mem::swap(&mut self.activations, &mut self.candidate_activations);
+                self.predicted = candidate_pred;
+                landed(&self.current, candidate_pred);
+            }
+            self.injections += 1;
+            if cfg.decay_every_injections > 0
+                && self.injections.is_multiple_of(cfg.decay_every_injections)
+            {
+                self.temperature *= cfg.temperature_decay;
+            }
+        }
+        self.current != self.previous
+    }
+}
 
 /// One iteration of the Phase-2 loop, recorded for post-hoc evaluation.
 #[derive(Debug, Clone)]
@@ -39,8 +180,6 @@ struct IterationRecord {
     candidate: Option<Mapping>,
     /// Wall-clock seconds elapsed since the search started.
     elapsed_s: f64,
-    /// Surrogate-predicted normalized EDP of the current candidate.
-    predicted: f64,
 }
 
 /// The Phase-2 gradient searcher, bound to a surrogate and a target problem.
@@ -97,94 +236,33 @@ impl<'a> GradientSearch<'a> {
         budget: Budget,
         rng: &mut StdRng,
     ) -> (Vec<IterationRecord>, Option<Mapping>) {
-        let cfg = &self.config;
         let start = Instant::now();
         let mut records: Vec<IterationRecord> = Vec::new();
+        let first = self.space.random_mapping(rng);
+        let mut trajectory = Trajectory::new(self.surrogate, &self.problem, first, self.config);
 
-        let mut current = self.space.random_mapping(rng);
-        let mut x = self.surrogate.encode_normalized(&self.problem, &current);
-        let mapping_offset = self.surrogate.encoding().mapping_offset();
-
+        // The best-so-far candidate by surrogate prediction (the mapping the
+        // deployment-mode API returns).
         let mut best_pred = f64::INFINITY;
         let mut best_mapping: Option<Mapping> = None;
-        let mut temperature = cfg.initial_temperature;
-        let mut injections: u64 = 0;
-        let mut iteration: u64 = 0;
-
-        while !budget.exhausted(iteration, start.elapsed()) {
-            iteration += 1;
-
-            // Steps 2-3: predicted cost and gradient at the current point.
-            let predicted = self.surrogate.predict_normalized_edp_from_input(&x);
-            let mut grad = self.surrogate.normalized_edp_gradient(&x);
-            // The problem id is held constant (Section 4.2): zero its grad.
-            for g in grad.iter_mut().take(mapping_offset) {
-                *g = 0.0;
+        let mut track_best = |mapping: &Mapping, predicted: f64| {
+            if predicted < best_pred {
+                best_pred = predicted;
+                best_mapping = Some(mapping.clone());
             }
-            if cfg.normalize_gradient {
-                let norm: f32 = grad.iter().map(|g| g * g).sum::<f32>().sqrt();
-                if norm > 1e-12 {
-                    for g in &mut grad {
-                        *g /= norm;
-                    }
-                }
-            }
-            // Step 4: gradient step in whitened space.
-            for (xi, gi) in x.iter_mut().zip(&grad) {
-                *xi -= cfg.learning_rate * gi;
-            }
+        };
 
-            // Step 5: project back to the valid map space.
-            let raw_mapping = self.surrogate.decode_normalized(&x);
-            let previous = current.clone();
-            current = self
-                .space
-                .project(&raw_mapping)
-                .unwrap_or_else(|_| self.space.random_mapping(rng));
-            x = self.surrogate.encode_normalized(&self.problem, &current);
-            let mut projected_pred = self.surrogate.predict_normalized_edp_from_input(&x);
-
-            // Track the best-so-far candidate by surrogate prediction (the
-            // mapping the deployment-mode API would return).
-            if projected_pred < best_pred {
-                best_pred = projected_pred;
-                best_mapping = Some(current.clone());
-            }
-
-            // Step 6: periodic random injection with annealed acceptance.
-            if cfg.injection_interval > 0 && iteration.is_multiple_of(cfg.injection_interval) {
-                let candidate = self.space.random_mapping(rng);
-                let cand_x = self.surrogate.encode_normalized(&self.problem, &candidate);
-                let cand_pred = self.surrogate.predict_normalized_edp_from_input(&cand_x);
-                let accept = cand_pred <= projected_pred || {
-                    let delta = cand_pred - projected_pred;
-                    rng.gen_range(0.0..1.0) < (-delta / temperature.max(1e-12)).exp()
-                };
-                if accept {
-                    current = candidate;
-                    x = cand_x;
-                    projected_pred = cand_pred;
-                    if cand_pred < best_pred {
-                        best_pred = cand_pred;
-                        best_mapping = Some(current.clone());
-                    }
-                }
-                injections += 1;
-                if cfg.decay_every_injections > 0
-                    && injections.is_multiple_of(cfg.decay_every_injections)
-                {
-                    temperature *= cfg.temperature_decay;
-                }
-            }
-
+        while !budget.exhausted(trajectory.iteration, start.elapsed()) {
+            let moved = trajectory.step(
+                self.surrogate,
+                &self.problem,
+                &self.space,
+                rng,
+                &mut track_best,
+            );
             records.push(IterationRecord {
-                candidate: if current == previous {
-                    None
-                } else {
-                    Some(current.clone())
-                },
+                candidate: moved.then(|| trajectory.current.clone()),
                 elapsed_s: start.elapsed().as_secs_f64(),
-                predicted: predicted.min(projected_pred),
             });
         }
         (records, best_mapping)
@@ -196,10 +274,11 @@ impl<'a> GradientSearch<'a> {
     /// search).
     fn fill_trace(&self, records: Vec<IterationRecord>, evaluator: &CostModel) -> SearchTrace {
         let mut trace = SearchTrace::new("MM");
+        let mut scratch = EvalScratch::new();
         let mut last: Option<(f64, Mapping)> = None;
         for rec in records {
             if let Some(mapping) = rec.candidate {
-                let cost = evaluator.edp(&mapping);
+                let cost = evaluator.evaluate_into(&mut scratch, &mapping).edp;
                 last = Some((cost, mapping));
             }
             if let Some((cost, mapping)) = &last {
@@ -209,7 +288,6 @@ impl<'a> GradientSearch<'a> {
                     std::time::Duration::from_secs_f64(rec.elapsed_s),
                 );
             }
-            let _ = rec.predicted;
         }
         trace
     }

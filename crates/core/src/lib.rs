@@ -49,7 +49,7 @@ pub use dataset::{generate_training_set, SurrogateDataset};
 pub use gradient_proposer::GradientProposer;
 pub use gradient_search::GradientSearch;
 pub use objective::CostModelObjective;
-pub use surrogate::Surrogate;
+pub use surrogate::{GradientScratch, Surrogate};
 
 /// Errors produced by the Mind Mappings framework.
 #[derive(Debug, Clone, PartialEq, Eq)]

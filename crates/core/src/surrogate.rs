@@ -10,9 +10,12 @@
 //! is what Phase 2 descends.
 
 use mm_accel::{AlgorithmicMinimum, Architecture};
+use mm_mapspace::mapping::{Level, ONCHIP_LEVELS};
 use mm_mapspace::{Encoding, Mapping, ProblemSpec};
 use mm_nn::optim::Sgd;
-use mm_nn::{Dataset, Mlp, Normalizer, TrainConfig, TrainHistory, Trainer};
+use mm_nn::{
+    BackwardScratch, Dataset, ForwardCache, Mlp, Normalizer, TrainConfig, TrainHistory, Trainer,
+};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -30,6 +33,14 @@ pub struct Surrogate {
     num_dims: usize,
     num_tensors: usize,
     arch: Architecture,
+}
+
+/// Reusable buffers of [`Surrogate::normalized_edp_gradient_into`].
+#[derive(Debug, Clone, Default)]
+pub struct GradientScratch {
+    /// dEDP/d output: zero everywhere but the energy and cycles neurons.
+    output_weights: Vec<f32>,
+    backward: BackwardScratch,
 }
 
 impl Surrogate {
@@ -146,16 +157,68 @@ impl Surrogate {
     /// Encode a mapping (plus problem id) into the surrogate's whitened input
     /// space.
     pub fn encode_normalized(&self, problem: &ProblemSpec, mapping: &Mapping) -> Vec<f32> {
-        let raw = self.encoding().encode(problem, mapping);
-        self.input_norm.transform(&raw)
+        let mut x = Vec::with_capacity(self.encoding().total_len());
+        self.encode_normalized_into(problem, mapping, &mut x);
+        x
+    }
+
+    /// In-place form of [`encode_normalized`](Self::encode_normalized): `x`
+    /// is overwritten (its allocation reused).
+    ///
+    /// Writes the segments of [`Encoding::encode`] in its order — problem
+    /// id, tile factors, parallelism, loop-order positions, buffer
+    /// fractions — because that one only returns a fresh `Vec`; a unit test
+    /// holds the two to the same bits.
+    // mm-lint: hot-path — one call per gradient-search step.
+    pub fn encode_normalized_into(
+        &self,
+        problem: &ProblemSpec,
+        mapping: &Mapping,
+        x: &mut Vec<f32>,
+    ) {
+        x.clear();
+        x.extend(problem.dim_sizes.iter().map(|&s| s as f32));
+        for level in Level::ALL {
+            x.extend(
+                problem
+                    .dims()
+                    .map(|d| mapping.trip_count(problem, level, d) as f32),
+            );
+        }
+        x.extend(problem.dims().map(|d| mapping.parallelism(d) as f32));
+        for level in Level::ALL {
+            let order = mapping.order(level);
+            x.extend(
+                (0..self.num_dims).map(|d| order.iter().position(|&o| o == d).unwrap_or(d) as f32),
+            );
+        }
+        for fractions in &mapping.buffer_alloc[..ONCHIP_LEVELS] {
+            x.extend(fractions[..self.num_tensors].iter().map(|&f| f as f32));
+        }
+        self.input_norm.transform_in_place(x);
     }
 
     /// Extract the raw (un-whitened) mapping portion of a whitened input
     /// vector; the result can be fed to
     /// [`MapSpace::project`](mm_mapspace::MapSpace::project).
     pub fn decode_normalized(&self, x_normalized: &[f32]) -> Vec<f32> {
-        let raw = self.input_norm.inverse(x_normalized);
-        raw[self.encoding().mapping_offset()..].to_vec()
+        let mut raw = Vec::with_capacity(self.encoding().mapping_len());
+        self.decode_normalized_into(x_normalized, &mut raw);
+        raw
+    }
+
+    /// In-place form of [`decode_normalized`](Self::decode_normalized):
+    /// `raw_mapping` is overwritten (its allocation reused).
+    // mm-lint: hot-path — one call per gradient-search step.
+    pub fn decode_normalized_into(&self, x_normalized: &[f32], raw_mapping: &mut Vec<f32>) {
+        raw_mapping.clear();
+        raw_mapping.extend(
+            x_normalized
+                .iter()
+                .enumerate()
+                .skip(self.encoding().mapping_offset())
+                .map(|(i, &v)| self.input_norm.inverse_feature(i, v)),
+        );
     }
 
     // ------------------------------------------------------------------
@@ -199,7 +262,24 @@ impl Surrogate {
 
     /// Predicted normalized EDP directly from a whitened input vector.
     pub fn predict_normalized_edp_from_input(&self, x_normalized: &[f32]) -> f64 {
-        let (rel_energy, rel_cycles, _, _) = self.predict_energy_cycles(x_normalized);
+        self.predict_normalized_edp_into(x_normalized, &mut ForwardCache::default())
+    }
+
+    /// In-place form of
+    /// [`predict_normalized_edp_from_input`](Self::predict_normalized_edp_from_input):
+    /// one forward pass whose activations stay in `cache` (overwritten, its
+    /// allocations reused), where
+    /// [`normalized_edp_gradient_into`](Self::normalized_edp_gradient_into)
+    /// finds them.
+    // mm-lint: hot-path — one call per gradient-search step.
+    pub fn predict_normalized_edp_into(
+        &self,
+        x_normalized: &[f32],
+        cache: &mut ForwardCache,
+    ) -> f64 {
+        self.mlp.forward_into(1, x_normalized, cache);
+        let (rel_energy, rel_cycles, _, _) =
+            self.energy_cycles_from_output(cache.output().as_slice());
         // EDP relative to the lower bound is the product of the relative
         // energy and relative delay.
         rel_energy * rel_cycles
@@ -228,16 +308,10 @@ impl Surrogate {
             .collect()
     }
 
-    /// Predicted lower-bound-relative energy and cycles plus the z-space
-    /// standard deviations of the two output neurons (needed by the chain
-    /// rule in [`normalized_edp_gradient`](Self::normalized_edp_gradient)).
-    fn predict_energy_cycles(&self, x_normalized: &[f32]) -> (f64, f64, f64, f64) {
-        let z = self.mlp.predict(x_normalized);
-        self.energy_cycles_from_output(&z)
-    }
-
     /// Decode one network-output row into lower-bound-relative energy and
-    /// cycles (plus the z-space standard deviations of the two neurons).
+    /// cycles, plus the z-space standard deviations of the two neurons
+    /// (needed by the chain rule in
+    /// [`normalized_edp_gradient_into`](Self::normalized_edp_gradient_into)).
     fn energy_cycles_from_output(&self, z: &[f32]) -> (f64, f64, f64, f64) {
         let ci = self.cycles_index();
         let ei = self.energy_index();
@@ -259,17 +333,39 @@ impl Surrogate {
     /// input vector (problem id ⊕ mapping). Phase 2 only applies the mapping
     /// portion (the problem id is held fixed, Section 4.2).
     pub fn normalized_edp_gradient(&self, x_normalized: &[f32]) -> Vec<f32> {
+        let mut cache = ForwardCache::default();
+        self.predict_normalized_edp_into(x_normalized, &mut cache);
+        self.normalized_edp_gradient_into(&cache, &mut GradientScratch::default())
+            .to_vec()
+    }
+
+    /// In-place form of
+    /// [`normalized_edp_gradient`](Self::normalized_edp_gradient): the
+    /// backward pass alone, from the activations
+    /// [`predict_normalized_edp_into`](Self::predict_normalized_edp_into)
+    /// left in `cache`. The gradient is borrowed from `scratch`.
+    // mm-lint: hot-path — one call per gradient-search step.
+    pub fn normalized_edp_gradient_into<'s>(
+        &self,
+        cache: &ForwardCache,
+        scratch: &'s mut GradientScratch,
+    ) -> &'s [f32] {
         let ci = self.cycles_index();
         let ei = self.energy_index();
-        let (rel_energy, rel_cycles, std_e, std_c) = self.predict_energy_cycles(x_normalized);
+        let (rel_energy, rel_cycles, std_e, std_c) =
+            self.energy_cycles_from_output(cache.output().as_slice());
         // EDP = E · C with E = exp(std_E·z_E + mean_E) − 1 (and likewise C),
         // so dEDP/dz_E = C · std_E · (E + 1) and dEDP/dz_C = E · std_C · (C + 1).
         // Both terms are linear in the network output, so a single backward
         // pass with the combined output weights suffices.
-        let mut weights = vec![0.0f32; self.mlp.output_dim()];
+        let weights = &mut scratch.output_weights;
+        weights.clear();
+        weights.resize(self.mlp.output_dim(), 0.0);
         weights[ei] = (rel_cycles * std_e * (rel_energy + 1.0)) as f32;
         weights[ci] = (rel_energy * std_c * (rel_cycles + 1.0)) as f32;
-        self.mlp.input_gradient(x_normalized, &weights)
+        self.mlp
+            .backward_input(cache, weights, &mut scratch.backward)
+            .as_slice()
     }
 
     /// Mean-squared error of predicted vs. true normalized EDP over a set of
@@ -439,6 +535,50 @@ mod tests {
         let cnn = mm_workloads::cnn::CnnLayer::resnet_conv4().into_problem();
         assert!(s.check_problem(&cnn).is_err());
         assert!(s.check_problem(&ProblemSpec::conv1d(100, 3)).is_ok());
+    }
+
+    #[test]
+    fn in_place_encode_and_decode_match_the_encoding_to_the_bit() {
+        use mm_mapspace::problem::ProblemFamily;
+        use mm_workloads::cnn::CnnFamily;
+        use mm_workloads::mttkrp::MttkrpFamily;
+
+        // The in-place encoder writes the segments of `Encoding::encode`
+        // itself: hold it to that format, and the decoder to the whole-vector
+        // inverse it replaced, on every family shape (2/3, 7/3, 4/4
+        // dims/tensors) through buffers that held another shape before.
+        let arch = mm_workloads::evaluated_accelerator();
+        let families: [&dyn ProblemFamily; 3] = [
+            &Conv1dFamily::default(),
+            &CnnFamily::default(),
+            &MttkrpFamily::default(),
+        ];
+        let cfg = Phase1Config {
+            hidden_layers: vec![4],
+            epochs: 1,
+            ..Phase1Config::quick()
+        };
+        let (mut x, mut raw) = (vec![7.0f32; 99], vec![7.0f32; 99]);
+        for (i, family) in families.into_iter().enumerate() {
+            let mut rng = StdRng::seed_from_u64(40 + i as u64);
+            let ds = generate_training_set(&arch, family, 120, 30, &mut rng).unwrap();
+            let (s, _) = Surrogate::train(arch.clone(), &ds, &cfg, &mut rng).unwrap();
+            let problem = family.sample_problem(&mut rng);
+            let space = MapSpace::new(problem.clone(), arch.mapping_constraints());
+            for _ in 0..40 {
+                let m = space.random_mapping(&mut rng);
+                let expected = s.input_norm.transform(&s.encoding().encode(&problem, &m));
+                s.encode_normalized_into(&problem, &m, &mut x);
+                let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&x), bits(&expected), "{}", family.algorithm());
+                assert_eq!(bits(&s.encode_normalized(&problem, &m)), bits(&expected));
+
+                let expected = &s.input_norm.inverse(&x)[s.encoding().mapping_offset()..];
+                s.decode_normalized_into(&x, &mut raw);
+                assert_eq!(bits(&raw), bits(expected), "{}", family.algorithm());
+                assert_eq!(bits(&s.decode_normalized(&x)), bits(expected));
+            }
+        }
     }
 
     #[test]

@@ -82,11 +82,17 @@ impl Normalizer {
 
     /// Normalize one vector.
     pub fn transform(&self, x: &[f32]) -> Vec<f32> {
-        x.iter()
-            .zip(&self.mean)
-            .zip(&self.std)
-            .map(|((&v, &m), &s)| (v - m) / s)
-            .collect()
+        let mut out = x.to_vec();
+        self.transform_in_place(&mut out);
+        out
+    }
+
+    /// In-place form of [`transform`](Self::transform).
+    // mm-lint: hot-path — one call per gradient-search step.
+    pub fn transform_in_place(&self, x: &mut [f32]) {
+        for ((v, &m), &s) in x.iter_mut().zip(&self.mean).zip(&self.std) {
+            *v = (*v - m) / s;
+        }
     }
 
     /// Invert the normalization of one vector.

@@ -20,22 +20,28 @@ impl Activation {
     /// Apply the activation element-wise.
     pub fn forward(&self, x: &Matrix) -> Matrix {
         let mut out = x.clone();
+        self.forward_in_place(&mut out);
+        out
+    }
+
+    /// In-place form of [`forward`](Self::forward).
+    // mm-lint: hot-path — every forward pass runs through here.
+    pub fn forward_in_place(&self, x: &mut Matrix) {
         match self {
             Activation::Identity => {}
             Activation::Relu => {
-                for v in out.as_mut_slice() {
+                for v in x.as_mut_slice() {
                     if *v < 0.0 {
                         *v = 0.0;
                     }
                 }
             }
             Activation::Tanh => {
-                for v in out.as_mut_slice() {
+                for v in x.as_mut_slice() {
                     *v = v.tanh();
                 }
             }
         }
-        out
     }
 
     /// Back-propagate through the activation: element-wise product of the
@@ -43,6 +49,14 @@ impl Activation {
     /// *pre-activation* input `x`.
     pub fn backward(&self, x: &Matrix, grad_out: &Matrix) -> Matrix {
         let mut grad = grad_out.clone();
+        self.backward_in_place(x, &mut grad);
+        grad
+    }
+
+    /// In-place form of [`backward`](Self::backward): `grad` holds the
+    /// upstream gradient on entry and the downstream one on return.
+    // mm-lint: hot-path — every backward pass runs through here.
+    pub fn backward_in_place(&self, x: &Matrix, grad: &mut Matrix) {
         match self {
             Activation::Identity => {}
             Activation::Relu => {
@@ -59,7 +73,6 @@ impl Activation {
                 }
             }
         }
-        grad
     }
 }
 
@@ -112,13 +125,21 @@ impl Linear {
 
     /// Forward pass for a batch `x` of shape `[batch, in_features]`.
     pub fn forward(&self, x: &Matrix) -> Matrix {
-        let mut y = x.matmul_transpose_b(&self.weight);
+        let mut y = Matrix::default();
+        self.forward_into(x, &mut y);
+        y
+    }
+
+    /// In-place form of [`forward`](Self::forward): `y` is reshaped (its
+    /// allocation reused) and overwritten.
+    // mm-lint: hot-path — every forward pass runs through here.
+    pub fn forward_into(&self, x: &Matrix, y: &mut Matrix) {
+        x.matmul_transpose_b_into(&self.weight, y);
         for r in 0..y.rows() {
             for (v, b) in y.row_mut(r).iter_mut().zip(&self.bias) {
                 *v += b;
             }
         }
-        y
     }
 
     /// Backward pass: given the batch input `x` and upstream gradient
@@ -126,18 +147,28 @@ impl Linear {
     /// w.r.t. the input (shape `[batch, in_features]`) and the parameter
     /// gradients.
     pub fn backward(&self, x: &Matrix, grad_out: &Matrix) -> (Matrix, LinearGrad) {
-        // dX = dY · W
-        let grad_input = grad_out.matmul(&self.weight);
-        // dW = dYᵀ · X
-        let grad_weight = grad_out.transpose_a_matmul(x);
-        let grad_bias = grad_out.column_sums();
-        (
-            grad_input,
-            LinearGrad {
-                weight: grad_weight,
-                bias: grad_bias,
-            },
-        )
+        let mut grad_input = Matrix::default();
+        self.backward_input_into(grad_out, &mut grad_input);
+        (grad_input, LinearGrad::from_batch(x, grad_out))
+    }
+
+    /// The input half of [`backward`](Self::backward), in place:
+    /// `grad_input` is reshaped (its allocation reused) and overwritten with
+    /// `dX = dY · W`.
+    // mm-lint: hot-path — the input-only backward pass must not allocate.
+    pub fn backward_input_into(&self, grad_out: &Matrix, grad_input: &mut Matrix) {
+        grad_out.matmul_into(&self.weight, grad_input);
+    }
+}
+
+impl LinearGrad {
+    /// The parameter half of [`Linear::backward`]: `dW = dYᵀ · X` and the
+    /// bias gradient (column sums of `dY`) for the batch input `x`.
+    pub fn from_batch(x: &Matrix, grad_out: &Matrix) -> Self {
+        LinearGrad {
+            weight: grad_out.transpose_a_matmul(x),
+            bias: grad_out.column_sums(),
+        }
     }
 }
 

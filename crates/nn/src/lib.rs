@@ -45,7 +45,7 @@ pub use data::{Dataset, Normalizer};
 pub use layer::{Activation, Linear};
 pub use loss::Loss;
 pub use matrix::Matrix;
-pub use mlp::Mlp;
+pub use mlp::{BackwardScratch, ForwardCache, Mlp};
 pub use train::{TrainConfig, TrainHistory, Trainer};
 
 /// Errors from dataset construction and shape checking.

@@ -7,8 +7,12 @@
 
 use serde::{Deserialize, Serialize};
 
+/// Rows of `other` that [`Matrix::matmul_transpose_b_into`] computes per pass
+/// over `k`, one independent accumulator each.
+const DOT_BLOCK: usize = 8;
+
 /// Dense row-major matrix of `f32`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
@@ -108,14 +112,54 @@ impl Matrix {
         &mut self.data[r * self.cols..(r + 1) * self.cols]
     }
 
+    /// Become the `rows × cols` zero matrix, reusing the allocation.
+    fn reset(&mut self, rows: usize, cols: usize) {
+        self.rows = rows;
+        self.cols = cols;
+        self.data.clear();
+        self.data.resize(rows * cols, 0.0);
+    }
+
+    /// Become a `rows × cols` copy of the row-major `data`, reusing the
+    /// allocation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `data.len() != rows * cols`.
+    pub fn copy_from_slice(&mut self, rows: usize, cols: usize, data: &[f32]) {
+        assert_eq!(data.len(), rows * cols, "matrix data length mismatch");
+        self.rows = rows;
+        self.cols = cols;
+        self.data.clear();
+        self.data.extend_from_slice(data);
+    }
+
+    /// Become a copy of `other`, reusing the allocation.
+    pub fn copy_from(&mut self, other: &Matrix) {
+        self.copy_from_slice(other.rows, other.cols, &other.data);
+    }
+
     /// `self · other` (standard matrix product).
     ///
     /// # Panics
     ///
     /// Panics if `self.cols() != other.rows()`.
     pub fn matmul(&self, other: &Matrix) -> Matrix {
+        let mut out = Matrix::default();
+        self.matmul_into(other, &mut out);
+        out
+    }
+
+    /// In-place form of [`matmul`](Self::matmul): `out` is reshaped (its
+    /// allocation reused) and overwritten with `self · other`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `self.cols() != other.rows()`.
+    // mm-lint: hot-path — the input-only backward pass must not allocate.
+    pub fn matmul_into(&self, other: &Matrix, out: &mut Matrix) {
         assert_eq!(self.cols, other.rows, "matmul shape mismatch");
-        let mut out = Matrix::zeros(self.rows, other.cols);
+        out.reset(self.rows, other.cols);
         for i in 0..self.rows {
             for k in 0..self.cols {
                 let a = self.data[i * self.cols + k];
@@ -129,7 +173,6 @@ impl Matrix {
                 }
             }
         }
-        out
     }
 
     /// `self · otherᵀ`.
@@ -138,20 +181,64 @@ impl Matrix {
     ///
     /// Panics if `self.cols() != other.cols()`.
     pub fn matmul_transpose_b(&self, other: &Matrix) -> Matrix {
+        let mut out = Matrix::default();
+        self.matmul_transpose_b_into(other, &mut out);
+        out
+    }
+
+    /// In-place form of [`matmul_transpose_b`](Self::matmul_transpose_b):
+    /// `out` is reshaped (its allocation reused) and overwritten with
+    /// `self · otherᵀ`.
+    ///
+    /// This is the forward product `x · Wᵀ` of every layer. One output at a
+    /// time it is a single dependent add chain over `k`, bound by the add
+    /// latency; here eight rows of `other` (`DOT_BLOCK`) share one pass over
+    /// `k`, each with its own accumulator, so the chains overlap. Every
+    /// accumulator still starts at `0.0` and sums its products in ascending
+    /// `k` — nothing is reassociated or fused, so each output has the bits
+    /// the one-at-a-time loop gives.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `self.cols() != other.cols()`.
+    // mm-lint: hot-path — every forward pass runs through here.
+    pub fn matmul_transpose_b_into(&self, other: &Matrix, out: &mut Matrix) {
         assert_eq!(self.cols, other.cols, "matmul_transpose_b shape mismatch");
-        let mut out = Matrix::zeros(self.rows, other.rows);
-        for i in 0..self.rows {
-            let arow = self.row(i);
-            for j in 0..other.rows {
-                let brow = other.row(j);
+        let k = self.cols;
+        out.reset(self.rows, other.rows);
+        if k == 0 || other.rows == 0 {
+            return;
+        }
+        for (arow, out_row) in self
+            .data
+            .chunks_exact(k)
+            .zip(out.data.chunks_exact_mut(other.rows))
+        {
+            let mut blocks = other.data.chunks_exact(DOT_BLOCK * k);
+            let mut out_blocks = out_row.chunks_exact_mut(DOT_BLOCK);
+            for (block, out_block) in blocks.by_ref().zip(out_blocks.by_ref()) {
+                let brows: [&[f32]; DOT_BLOCK] = std::array::from_fn(|j| &block[j * k..][..k]);
+                let mut acc = [0.0f32; DOT_BLOCK];
+                for (kk, &a) in arow.iter().enumerate() {
+                    for (s, brow) in acc.iter_mut().zip(&brows) {
+                        *s += a * brow[kk];
+                    }
+                }
+                out_block.copy_from_slice(&acc);
+            }
+            // Fewer than DOT_BLOCK rows left: one chain each.
+            for (brow, o) in blocks
+                .remainder()
+                .chunks_exact(k)
+                .zip(out_blocks.into_remainder())
+            {
                 let mut acc = 0.0f32;
                 for (a, b) in arow.iter().zip(brow) {
                     acc += a * b;
                 }
-                out.data[i * other.rows + j] = acc;
+                *o = acc;
             }
         }
-        out
     }
 
     /// `selfᵀ · other`.

@@ -26,8 +26,12 @@ pub struct MlpGrad {
     pub layers: Vec<LinearGrad>,
 }
 
-/// Cached activations from a forward pass, needed for backpropagation.
-#[derive(Debug, Clone)]
+/// Activations of one forward pass, needed for backpropagation.
+///
+/// Reusable: [`Mlp::forward_into`] overwrites a cache in place, so a caller
+/// that keeps one per evaluation point allocates only on first use (and when
+/// the batch grows).
+#[derive(Debug, Clone, Default)]
 pub struct ForwardCache {
     /// Input to each linear layer (post-activation of the previous layer).
     inputs: Vec<Matrix>,
@@ -38,10 +42,19 @@ pub struct ForwardCache {
 }
 
 impl ForwardCache {
-    /// The network output for the cached forward pass.
+    /// The network output for the cached forward pass (empty before the
+    /// first pass).
     pub fn output(&self) -> &Matrix {
         &self.output
     }
+}
+
+/// Reusable buffers of [`Mlp::backward_input`]: the gradient being
+/// propagated and the one the next layer down receives.
+#[derive(Debug, Clone, Default)]
+pub struct BackwardScratch {
+    grad: Matrix,
+    next: Matrix,
 }
 
 impl Mlp {
@@ -110,28 +123,46 @@ impl Mlp {
         &mut self.layers
     }
 
+    /// The activation after layer `i`.
+    fn activation(&self, i: usize) -> Activation {
+        if i + 1 == self.layers.len() {
+            self.output_activation
+        } else {
+            self.hidden_activation
+        }
+    }
+
     /// Forward pass on a batch, returning outputs and the cache needed for
     /// backpropagation.
     pub fn forward_cached(&self, x: &Matrix) -> ForwardCache {
+        let mut cache = ForwardCache::default();
+        self.forward_into(x.rows(), x.as_slice(), &mut cache);
+        cache
+    }
+
+    /// In-place form of [`forward_cached`](Self::forward_cached): run the
+    /// row-major batch `x` of `rows` examples through the network,
+    /// overwriting `cache` (its allocations reused).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x.len() != rows * self.input_dim()`.
+    // mm-lint: hot-path — one call per gradient-search step.
+    pub fn forward_into(&self, rows: usize, x: &[f32], cache: &mut ForwardCache) {
         let n = self.layers.len();
-        let mut inputs = Vec::with_capacity(n);
-        let mut pre_activations = Vec::with_capacity(n);
-        let mut cur = x.clone();
+        cache.inputs.resize_with(n, Matrix::default);
+        cache.pre_activations.resize_with(n, Matrix::default);
+        cache.inputs[0].copy_from_slice(rows, self.input_dim(), x);
         for (i, layer) in self.layers.iter().enumerate() {
-            inputs.push(cur.clone());
-            let pre = layer.forward(&cur);
-            pre_activations.push(pre.clone());
-            let act = if i + 1 == n {
-                self.output_activation
+            let pre = &mut cache.pre_activations[i];
+            layer.forward_into(&cache.inputs[i], pre);
+            let post = if i + 1 == n {
+                &mut cache.output
             } else {
-                self.hidden_activation
+                &mut cache.inputs[i + 1]
             };
-            cur = act.forward(&pre);
-        }
-        ForwardCache {
-            inputs,
-            pre_activations,
-            output: cur,
+            post.copy_from(pre);
+            self.activation(i).forward_in_place(post);
         }
     }
 
@@ -142,7 +173,9 @@ impl Mlp {
 
     /// Convenience: forward pass on a single example.
     pub fn predict(&self, x: &[f32]) -> Vec<f32> {
-        self.forward(&Matrix::row_vector(x)).as_slice().to_vec()
+        let mut cache = ForwardCache::default();
+        self.forward_into(1, x, &mut cache);
+        cache.output.as_slice().to_vec()
     }
 
     /// Forward pass on a batch of examples in **one** matrix pass: the whole
@@ -157,35 +190,60 @@ impl Mlp {
         (0..y.rows()).map(|r| y.row(r).to_vec()).collect()
     }
 
+    /// The one backward pass: walk the layers last to first, turning
+    /// `grad_output` (dL/d output, row-major `[batch, out]`) into dL/d input,
+    /// which is left in `scratch.grad`. `on_layer` sees each layer's index
+    /// with the gradient at its pre-activation — what the parameter
+    /// gradients are made from.
+    fn backward_with(
+        &self,
+        cache: &ForwardCache,
+        grad_output: &[f32],
+        scratch: &mut BackwardScratch,
+        mut on_layer: impl FnMut(usize, &Matrix),
+    ) {
+        scratch
+            .grad
+            .copy_from_slice(cache.output.rows(), self.output_dim(), grad_output);
+        for (i, layer) in self.layers.iter().enumerate().rev() {
+            self.activation(i)
+                .backward_in_place(&cache.pre_activations[i], &mut scratch.grad);
+            on_layer(i, &scratch.grad);
+            layer.backward_input_into(&scratch.grad, &mut scratch.next);
+            std::mem::swap(&mut scratch.grad, &mut scratch.next);
+        }
+    }
+
     /// Backpropagate `grad_output` (dL/d output, shape `[batch, out]`)
     /// through the network, returning parameter gradients and the gradient
     /// with respect to the **input** batch.
     pub fn backward(&self, cache: &ForwardCache, grad_output: &Matrix) -> (MlpGrad, Matrix) {
-        let n = self.layers.len();
-        let mut layer_grads: Vec<Option<LinearGrad>> = (0..n).map(|_| None).collect();
-        let mut grad = grad_output.clone();
-        for i in (0..n).rev() {
-            let act = if i + 1 == n {
-                self.output_activation
-            } else {
-                self.hidden_activation
-            };
-            grad = act.backward(&cache.pre_activations[i], &grad);
-            let (grad_in, pgrad) = self.layers[i].backward(&cache.inputs[i], &grad);
-            layer_grads[i] = Some(pgrad);
-            grad = grad_in;
-        }
-        (
-            MlpGrad {
-                layers: layer_grads
-                    .into_iter()
-                    // mm-lint: allow(panic): the backward pass above fills
-                    // every slot; a hole is a backprop bug.
-                    .map(|g| g.expect("gradient computed for every layer"))
-                    .collect(),
-            },
-            grad,
-        )
+        let mut scratch = BackwardScratch::default();
+        let mut layers = Vec::with_capacity(self.layers.len());
+        self.backward_with(cache, grad_output.as_slice(), &mut scratch, |i, grad| {
+            layers.push(LinearGrad::from_batch(&cache.inputs[i], grad));
+        });
+        layers.reverse();
+        (MlpGrad { layers }, scratch.grad)
+    }
+
+    /// Input-only form of [`backward`](Self::backward): the same chain
+    /// without the parameter gradients, into reusable `scratch`. Returns
+    /// dL/d input, shape `[batch, in]`, borrowed from `scratch`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `grad_output` is not `[batch, out]` for the batch `cache`
+    /// holds.
+    // mm-lint: hot-path — one call per gradient-search step.
+    pub fn backward_input<'s>(
+        &self,
+        cache: &ForwardCache,
+        grad_output: &[f32],
+        scratch: &'s mut BackwardScratch,
+    ) -> &'s Matrix {
+        self.backward_with(cache, grad_output, scratch, |_, _| {});
+        &scratch.grad
     }
 
     /// Gradient of a scalar objective `sum(weights ⊙ output)` with respect to
@@ -193,10 +251,11 @@ impl Mlp {
     /// Mappings: the gradient of the surrogate-predicted cost w.r.t. the
     /// candidate mapping.
     pub fn input_gradient(&self, x: &[f32], output_weights: &[f32]) -> Vec<f32> {
-        let cache = self.forward_cached(&Matrix::row_vector(x));
-        let grad_out = Matrix::row_vector(output_weights);
-        let (_, grad_in) = self.backward(&cache, &grad_out);
-        grad_in.as_slice().to_vec()
+        let mut cache = ForwardCache::default();
+        self.forward_into(1, x, &mut cache);
+        self.backward_input(&cache, output_weights, &mut BackwardScratch::default())
+            .as_slice()
+            .to_vec()
     }
 }
 

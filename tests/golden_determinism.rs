@@ -12,6 +12,14 @@
 //! shows up as a reviewable fixture diff instead of silently reshuffling
 //! results.
 //!
+//! A third fixture pins the paper's own method, which the canonical
+//! strings never touch: surrogate training (`mm-nn`) and the Phase-2
+//! gradient search (`mm-core`), to the bit. A change to the matrix kernels,
+//! the forward/backward passes, the whitened encoding or the Section-4.2
+//! step shows up as a diff of `gradient_search_canonical.txt`. It was
+//! generated on the commit *before* PR 12 rewrote the kernels and the step,
+//! and passed unchanged after.
+//!
 //! Regenerate deliberately with `MM_BLESS=1 cargo test --test
 //! golden_determinism` after an intentional behaviour change, and commit
 //! the new fixtures with the code that changed them.
@@ -21,11 +29,18 @@
 //! (`d! · largest_dim`) by at least the parallelism-axis factor on Table 1
 //! layers.
 
+use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::sync::Arc;
 
 use mind_mappings::prelude::*;
+use mind_mappings::workloads::conv1d::Conv1dFamily;
+use mind_mappings::workloads::mttkrp::MttkrpFamily;
+use mm_core::generate_training_set;
+use mm_mapspace::problem::ProblemFamily;
 use mm_mapspace::{ShardAxis, ShardAxisKind};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 fn fixture_path(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -109,6 +124,136 @@ fn network_canonical_report_matches_fixture() {
     let report = service.map_network(&table1_network());
     assert_eq!(report.layers.len(), 8);
     check_fixture("network_canonical.txt", &report.canonical_string());
+}
+
+const SEARCH_STEPS: u64 = 300;
+const SEARCH_SEEDS: [u64; 2] = [1, 7];
+const POINT_STRIDE: usize = 50;
+
+/// The surrogate behind the gradient-search fixture: small enough to train
+/// in a debug-mode test.
+fn phase1() -> Phase1Config {
+    Phase1Config {
+        num_samples: 1_200,
+        mappings_per_problem: 50,
+        hidden_layers: vec![48, 40],
+        epochs: 12,
+        batch_size: 64,
+        ..Phase1Config::quick()
+    }
+}
+
+/// FNV-1a over the bit patterns of every weight and bias, in layer order.
+fn weight_checksum(surrogate: &Surrogate) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    let mut word = |bits: u32| {
+        for byte in bits.to_le_bytes() {
+            hash = (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    for layer in surrogate.mlp().layers() {
+        layer
+            .weight
+            .as_slice()
+            .iter()
+            .for_each(|w| word(w.to_bits()));
+        layer.bias.iter().for_each(|b| word(b.to_bits()));
+    }
+    hash
+}
+
+/// Train a surrogate for `family` from `train_seed` and append its canonical
+/// lines to `out`: a checksum of every trained weight, and for two search
+/// seeds each through `MindMappings::search_with_budget` — unsharded
+/// (`GradientSearch`) and over 4 shards (`GradientProposer` under `drive`),
+/// the two callers of the shared step — the trace length,
+/// `best_cost.to_bits()`, the best mapping and every 50th trace point.
+fn snapshot<F: ProblemFamily>(
+    out: &mut String,
+    label: &str,
+    arch: Architecture,
+    family: &F,
+    train_seed: u64,
+    problem: &ProblemSpec,
+) {
+    let mut rng = StdRng::seed_from_u64(train_seed);
+    let config = phase1();
+    let dataset = generate_training_set(
+        &arch,
+        family,
+        config.num_samples,
+        config.mappings_per_problem,
+        &mut rng,
+    )
+    .expect("training set");
+    let (surrogate, history) =
+        Surrogate::train(arch, &dataset, &config, &mut rng).expect("surrogate");
+    writeln!(
+        out,
+        "{label} weights {:016x} train_loss {:08x} test_loss {:08x}",
+        weight_checksum(&surrogate),
+        history.final_train_loss().to_bits(),
+        history.final_test_loss().to_bits(),
+    )
+    .unwrap();
+
+    for shards in [1usize, 4] {
+        let mm = MindMappings::from_surrogate(
+            surrogate.clone(),
+            Phase2Config {
+                shards,
+                ..Phase2Config::default()
+            },
+        );
+        for seed in SEARCH_SEEDS {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let trace = mm
+                .search_with_budget(problem, Budget::iterations(SEARCH_STEPS), &mut rng)
+                .expect("search");
+            writeln!(
+                out,
+                "{label} shards {shards} seed {seed} len {} best {:016x}",
+                trace.len(),
+                trace.best_cost.to_bits(),
+            )
+            .unwrap();
+            writeln!(out, "  best_mapping {:?}", trace.best_mapping).unwrap();
+            for p in trace.points.iter().step_by(POINT_STRIDE) {
+                writeln!(
+                    out,
+                    "  point {} cost {:016x} best {:016x}",
+                    p.queries,
+                    p.cost.to_bits(),
+                    p.best_cost.to_bits(),
+                )
+                .unwrap();
+            }
+        }
+    }
+}
+
+/// The pinned gradient-search scenario: a Conv1d and an MTTKRP surrogate
+/// trained from fixed seeds, searched unsharded and over 4 shards.
+#[test]
+fn gradient_search_weights_and_traces_match_fixture() {
+    let mut actual = String::new();
+    snapshot(
+        &mut actual,
+        "conv1d",
+        Architecture::example(),
+        &Conv1dFamily::default(),
+        0x5EED_C0DE,
+        &ProblemSpec::conv1d(1777, 7),
+    );
+    snapshot(
+        &mut actual,
+        "mttkrp",
+        evaluated_accelerator(),
+        &MttkrpFamily::default(),
+        0x5EED_7E45,
+        &MttkrpShape::mttkrp_0().into_problem(),
+    );
+    check_fixture("gradient_search_canonical.txt", &actual);
 }
 
 /// Acceptance criterion of the multi-axis refactor: on Table 1 layers the

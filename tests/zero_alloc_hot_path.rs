@@ -8,13 +8,21 @@
 //! `// mm-lint: hot-path` tags: the lint bans allocation *tokens*, this
 //! test bans allocation *behaviour*.
 //!
+//! The same holds for the network part of a gradient-search step: encode,
+//! backward from the kept activations, decode, forward — through one
+//! reused set of buffers (`MapSpace::project`, which returns a fresh
+//! mapping, is not part of the contract).
+//!
 //! This file deliberately holds a single `#[test]`: the counter is global,
 //! so a sibling test running on another harness thread would alias it.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use mind_mappings::core::GradientScratch;
+use mind_mappings::nn::ForwardCache;
 use mind_mappings::prelude::*;
+use mind_mappings::workloads::cnn::CnnFamily;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -110,4 +118,52 @@ fn steady_state_eval_loop_allocates_nothing() {
     );
     assert_eq!(costs.len(), batch.len());
     assert!(best_cost.is_finite());
+
+    surrogate_step_allocates_nothing(&space, &batch, &mut rng);
+}
+
+/// The network part of a Phase-2 step over reused buffers: after warm-up,
+/// 256 rounds of encode → backward from the kept activations → step →
+/// decode → forward (kept for the next round) must not allocate.
+fn surrogate_step_allocates_nothing(space: &MapSpace, mappings: &[Mapping], rng: &mut StdRng) {
+    let phase1 = Phase1Config {
+        num_samples: 200,
+        hidden_layers: vec![24, 40, 9],
+        epochs: 1,
+        ..Phase1Config::quick()
+    };
+    let (mm, _) = MindMappings::train(evaluated_accelerator(), &CnnFamily::default(), &phase1, rng)
+        .expect("phase 1");
+    let surrogate = mm.surrogate();
+    let problem = space.problem();
+
+    let (mut x, mut raw) = (Vec::new(), Vec::new());
+    let mut activations = ForwardCache::default();
+    let mut scratch = GradientScratch::default();
+    let mut checksum = 0.0f64;
+    let mut round = |m: &Mapping| {
+        surrogate.encode_normalized_into(problem, m, &mut x);
+        checksum += surrogate.predict_normalized_edp_into(&x, &mut activations);
+        let grad = surrogate.normalized_edp_gradient_into(&activations, &mut scratch);
+        for (xi, g) in x.iter_mut().zip(grad) {
+            *xi -= 0.5 * g;
+        }
+        surrogate.decode_normalized_into(&x, &mut raw);
+        checksum += surrogate.predict_normalized_edp_into(&x, &mut activations);
+    };
+
+    // Warmup: first-use growth of the encode/decode vectors, the per-layer
+    // activation matrices and the backward buffers.
+    round(&mappings[0]);
+
+    let before = allocations();
+    for i in 0..256 {
+        round(&mappings[i % mappings.len()]);
+    }
+    let step_allocs = allocations() - before;
+    assert_eq!(
+        step_allocs, 0,
+        "surrogate step allocated {step_allocs} times over 256 rounds after warmup"
+    );
+    assert!(checksum.is_finite() && raw.len() == x.len() - problem.num_dims());
 }
