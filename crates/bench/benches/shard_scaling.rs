@@ -1,7 +1,6 @@
 //! Shard-scaling bench: sharded mapper quality/coverage across 1/2/4/8
-//! pairwise-disjoint map-space shards, deterministic split vs work stealing,
-//! over conv1d + the Table 1 set; plus a criterion micro-benchmark of a
-//! small sharded mapper run.
+//! pairwise-disjoint map-space shards over conv1d + the Table 1 set; plus a
+//! criterion micro-benchmark of a small sharded mapper run.
 //!
 //! Writes a `BENCH_shard.json` summary under the results directory
 //! (override with `MM_RESULTS_DIR`). Tune with `MM_SHARD_BENCH_EVALS`
@@ -17,9 +16,7 @@ use std::sync::Arc;
 use criterion::{criterion_group, Criterion};
 use mm_accel::CostModel;
 use mm_bench::{report, run_shard_bench};
-use mm_mapper::{
-    CostEvaluator, Mapper, MapperConfig, MapperSchedule, ModelEvaluator, TerminationPolicy,
-};
+use mm_mapper::{CostEvaluator, Mapper, MapperConfig, ModelEvaluator, TerminationPolicy};
 use mm_mapspace::{MapSpace, ProblemSpec};
 use mm_search::RandomSearch;
 use mm_workloads::evaluated_accelerator;
@@ -33,29 +30,21 @@ fn bench_sharded_mapper(c: &mut Criterion) {
         Arc::new(ModelEvaluator::edp(CostModel::new(arch, problem)));
     let mut group = c.benchmark_group("shard_scaling");
     group.sample_size(10);
-    for (shards, schedule) in [
-        (1usize, MapperSchedule::Deterministic),
-        (4, MapperSchedule::Deterministic),
-        (4, MapperSchedule::WorkStealing),
-    ] {
-        group.bench_function(
-            format!("conv1d/{shards}shards/{schedule:?}/512evals"),
-            |b| {
-                b.iter(|| {
-                    Mapper::new(MapperConfig {
-                        threads: 2,
-                        shards: Some(shards),
-                        shard_space: shards > 1,
-                        schedule,
-                        termination: TerminationPolicy::search_size(512),
-                        ..MapperConfig::default()
-                    })
-                    .run(&space, Arc::clone(&evaluator), |_| {
-                        Box::new(RandomSearch::new())
-                    })
+    for shards in [1usize, 4] {
+        group.bench_function(format!("conv1d/{shards}shards/512evals"), |b| {
+            b.iter(|| {
+                Mapper::new(MapperConfig {
+                    threads: 2,
+                    shards: Some(shards),
+                    shard_space: shards > 1,
+                    termination: TerminationPolicy::search_size(512),
+                    ..MapperConfig::default()
                 })
-            },
-        );
+                .run(&space, Arc::clone(&evaluator), |_| {
+                    Box::new(RandomSearch::new())
+                })
+            })
+        });
     }
     group.finish();
 }
@@ -83,7 +72,6 @@ fn main() {
         .map(|p| {
             vec![
                 p.shards.to_string(),
-                p.schedule.clone(),
                 format!("{:.4e}", p.geomean_best_edp),
                 p.distinct_best_l2_orders.to_string(),
                 p.total_evaluations.to_string(),
@@ -96,7 +84,6 @@ fn main() {
         report::format_table(
             &[
                 "shards",
-                "schedule",
                 "geomean_best_edp",
                 "distinct_L2_orders",
                 "evals",

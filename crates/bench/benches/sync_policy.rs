@@ -1,7 +1,7 @@
 //! Sync-policy bench: mapper quality under every global-best sync policy
-//! (off / anchor / restart / annealed) at 1/2/4 disjoint shards, over
-//! conv1d + the Table 1 set; plus a criterion micro-benchmark of a small
-//! policy-synced mapper run.
+//! (off / anchor / annealed) at 1/2/4 disjoint shards, over conv1d + the
+//! Table 1 set; plus a criterion micro-benchmark of a small policy-synced
+//! mapper run.
 //!
 //! Writes a `BENCH_sync.json` summary under the results directory
 //! (override with `MM_RESULTS_DIR`). Tune with `MM_SYNC_BENCH_EVALS`
@@ -9,7 +9,7 @@
 //! default 2000) and `MM_SYNC_BENCH_THREADS` (worker threads, default 2).
 //!
 //! Quality numbers are iso-budget and deterministic per configuration
-//! (barrier-round sync under the deterministic schedule), so they are
+//! (incumbents are exchanged between rounds), so they are
 //! machine-independent; only the wall-clock columns vary by host.
 
 use std::sync::Arc;
@@ -33,11 +33,7 @@ fn bench_synced_mapper(c: &mut Criterion) {
         Arc::new(ModelEvaluator::edp(CostModel::new(arch, problem)));
     let mut group = c.benchmark_group("sync_policy");
     group.sample_size(10);
-    for (label, sync) in [
-        ("off", SyncPolicy::Off),
-        ("anchor", SyncPolicy::Anchor),
-        ("restart", SyncPolicy::Restart { patience: 2 }),
-    ] {
+    for (label, sync) in [("off", SyncPolicy::Off), ("anchor", SyncPolicy::Anchor)] {
         group.bench_function(format!("conv1d/4shards/{label}/512evals"), |b| {
             b.iter(|| {
                 Mapper::new(MapperConfig {

@@ -94,7 +94,9 @@ pub fn write_bench_json(name: &str, json: &str) -> std::io::Result<PathBuf> {
     if let Some(snapshot) = mm_telemetry::snapshot_if_enabled() {
         let rest = name.strip_prefix("BENCH_").unwrap_or(name);
         let _ = fs::write(dir.join(format!("TELEMETRY_{rest}")), snapshot.to_json());
-        if snapshot.has_spans() {
+        // Gate on the level, not only on the snapshot: a span begun at the
+        // spans level by another thread can land after the level dropped.
+        if mm_telemetry::span_enabled() && snapshot.has_spans() {
             let _ = fs::write(
                 dir.join(format!("TRACE_{rest}")),
                 snapshot.to_chrome_trace(),

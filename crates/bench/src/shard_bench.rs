@@ -1,14 +1,9 @@
 //! Shard-scaling measurement: best-EDP and coverage of the sharded mapper
-//! across shard counts, budget schedules, and shard-axis combinations, over
-//! conv1d + the Table 1 set.
+//! across shard counts, over conv1d + the Table 1 set.
 //!
-//! For each shard count (1/2/4/8) and each schedule (deterministic split vs
-//! work stealing), every target problem gets one `Mapper` run with the map
-//! space partitioned into pairwise-disjoint shards (`MapSpace::shard`) and a
-//! fixed total evaluation budget; an axis sweep then holds the shard count
-//! at 8 and restricts the partition to growing subsets of the mixed-radix
-//! product (L2 order → +L1 order → +parallelism split → full product, plus
-//! the full product with shard-aware horizon hints). The JSON
+//! For each shard count (1/2/4/8), every target problem gets one `Mapper`
+//! run with the map space partitioned into pairwise-disjoint shards
+//! (`MapSpace::shard`) and a fixed total evaluation budget. The JSON
 //! (`BENCH_shard.json`) records per point:
 //!
 //! * **best EDP** (geometric mean over the problem set) — does disjoint
@@ -17,32 +12,23 @@
 //!   mappings span (one restricted axis; 1 shard explores orders freely but
 //!   reports a single best, `n` disjoint shards are *guaranteed* `≥ 1`
 //!   distinct best region each);
-//! * wall time and total evaluations (work stealing must spend the whole
-//!   budget even when shards exhaust unevenly).
+//! * wall time and total evaluations.
 
 use std::sync::Arc;
 
 use mm_accel::CostModel;
-use mm_mapper::{
-    CostEvaluator, Mapper, MapperConfig, MapperSchedule, ModelEvaluator, TerminationPolicy,
-};
-use mm_mapspace::{MapSpace, ProblemSpec, ShardAxisKind};
+use mm_mapper::{CostEvaluator, Mapper, MapperConfig, ModelEvaluator, TerminationPolicy};
+use mm_mapspace::{MapSpace, ProblemSpec};
 use mm_search::SimulatedAnnealing;
 use mm_workloads::{evaluated_accelerator, table1};
 
 use crate::report::{write_bench_json, Stopwatch};
 
-/// One measured (shard count, schedule, axis subset) configuration.
+/// One measured shard count.
 #[derive(Debug, Clone)]
 pub struct ShardBenchPoint {
     /// Number of pairwise-disjoint map-space shards.
     pub shards: usize,
-    /// `"deterministic"` or `"work_stealing"`.
-    pub schedule: String,
-    /// Which shard axes the partition restricted (`"full"` = the whole
-    /// mixed-radix product; `"full+hint"` additionally enables shard-aware
-    /// horizon hints).
-    pub axes: String,
     /// Geometric-mean best EDP (J·s) over the problem set.
     pub geomean_best_edp: f64,
     /// Σ distinct L2 loop orders among per-shard best mappings, over the
@@ -65,7 +51,7 @@ pub struct ShardBenchResult {
     pub threads: usize,
     /// `std::thread::available_parallelism()` on the measuring machine.
     pub available_parallelism: usize,
-    /// One point per (shard count, schedule).
+    /// One point per shard count.
     pub points: Vec<ShardBenchPoint>,
 }
 
@@ -81,14 +67,15 @@ impl ShardBenchResult {
             self.available_parallelism,
         ));
         for (i, p) in self.points.iter().enumerate() {
+            // The bench gate keys a point by (`shards`, `schedule`, `axes`);
+            // the two constant columns keep each row's key, and with it its
+            // baseline, stable.
             out.push_str(&format!(
-                "    {{\"shards\": {}, \"schedule\": {:?}, \"axes\": {:?}, \
+                "    {{\"shards\": {}, \"schedule\": \"deterministic\", \"axes\": \"full\", \
                  \"geomean_best_edp\": {:.6e}, \
                  \"distinct_best_l2_orders\": {}, \"total_evaluations\": {}, \
                  \"wall_s\": {:.6}}}{}\n",
                 p.shards,
-                p.schedule,
-                p.axes,
                 p.geomean_best_edp,
                 p.distinct_best_l2_orders,
                 p.total_evaluations,
@@ -118,68 +105,14 @@ fn problem_set() -> Vec<ProblemSpec> {
     problems
 }
 
-/// One configuration of the sweep.
-struct SweepPoint {
-    shards: usize,
-    schedule: MapperSchedule,
-    /// `None` = the full axis product.
-    axes: Option<Vec<ShardAxisKind>>,
-    shard_horizon: bool,
-    label: &'static str,
-}
-
-/// Run the shard-scaling sweep: shard counts 1/2/4/8 × deterministic vs
-/// work-stealing schedules over the full axis product, plus an axis sweep
-/// (growing subsets of the product, and the full product with shard-aware
-/// horizon hints) at 8 shards; `evals` evaluations per problem per point.
+/// Run the shard-scaling sweep: shard counts 1/2/4/8, `evals` evaluations
+/// per problem per point.
 pub fn run_shard_bench(evals: u64, threads: usize, seed: u64) -> ShardBenchResult {
     let arch = evaluated_accelerator();
     let problems = problem_set();
-    let mut sweep = Vec::new();
-    for &shards in &[1usize, 2, 4, 8] {
-        for schedule in [MapperSchedule::Deterministic, MapperSchedule::WorkStealing] {
-            sweep.push(SweepPoint {
-                shards,
-                schedule,
-                axes: None,
-                shard_horizon: false,
-                label: "full",
-            });
-        }
-    }
-    for (label, kinds) in [
-        ("l2", vec![ShardAxisKind::OrderL2]),
-        (
-            "l2+l1",
-            vec![ShardAxisKind::OrderL2, ShardAxisKind::OrderL1],
-        ),
-        (
-            "l2+l1+par",
-            vec![
-                ShardAxisKind::OrderL2,
-                ShardAxisKind::OrderL1,
-                ShardAxisKind::Parallel,
-            ],
-        ),
-    ] {
-        sweep.push(SweepPoint {
-            shards: 8,
-            schedule: MapperSchedule::Deterministic,
-            axes: Some(kinds),
-            shard_horizon: false,
-            label,
-        });
-    }
-    sweep.push(SweepPoint {
-        shards: 8,
-        schedule: MapperSchedule::Deterministic,
-        axes: None,
-        shard_horizon: true,
-        label: "full+hint",
-    });
 
     let mut points = Vec::new();
-    for cfg in &sweep {
+    for shards in [1usize, 2, 4, 8] {
         let mut log_sum = 0.0f64;
         let mut counted = 0usize;
         let mut distinct_orders = 0usize;
@@ -193,11 +126,8 @@ pub fn run_shard_bench(evals: u64, threads: usize, seed: u64) -> ShardBenchResul
             )));
             let mapper = Mapper::new(MapperConfig {
                 threads,
-                shards: Some(cfg.shards),
-                shard_space: cfg.shards > 1,
-                shard_axes: cfg.axes.clone(),
-                shard_horizon: cfg.shard_horizon,
-                schedule: cfg.schedule,
+                shards: Some(shards),
+                shard_space: shards > 1,
                 seed,
                 termination: TerminationPolicy::search_size(evals),
                 ..MapperConfig::default()
@@ -221,12 +151,7 @@ pub fn run_shard_bench(evals: u64, threads: usize, seed: u64) -> ShardBenchResul
             distinct_orders += orders.len();
         }
         points.push(ShardBenchPoint {
-            shards: cfg.shards,
-            schedule: match cfg.schedule {
-                MapperSchedule::Deterministic => "deterministic".to_string(),
-                MapperSchedule::WorkStealing => "work_stealing".to_string(),
-            },
-            axes: cfg.label.to_string(),
+            shards,
             geomean_best_edp: if counted > 0 {
                 (log_sum / counted as f64).exp()
             } else {
@@ -256,25 +181,16 @@ mod tests {
     #[test]
     fn tiny_shard_bench_produces_all_points_and_valid_json() {
         let result = run_shard_bench(24, 2, 3);
-        assert_eq!(
-            result.points.len(),
-            12,
-            "4 shard counts x 2 schedules + 3 axis subsets + hinted full"
-        );
+        assert_eq!(result.points.len(), 4, "shard counts 1/2/4/8");
         assert_eq!(result.problems.len(), 9, "conv1d + eight Table 1 rows");
         for p in &result.points {
             assert!(p.geomean_best_edp.is_finite() && p.geomean_best_edp > 0.0);
             assert_eq!(p.total_evaluations, 24 * 9);
             assert!(p.distinct_best_l2_orders >= result.problems.len());
         }
-        let axes: Vec<&str> = result.points.iter().map(|p| p.axes.as_str()).collect();
-        for label in ["full", "l2", "l2+l1", "l2+l1+par", "full+hint"] {
-            assert!(axes.contains(&label), "missing axes sweep point {label}");
-        }
         let json = result.to_json();
         assert!(json.contains("\"bench\": \"shard_scaling\""));
-        assert!(json.contains("work_stealing"));
-        assert!(json.contains("\"axes\": \"l2+l1+par\""));
+        assert!(json.contains("\"shards\": 8, \"schedule\": \"deterministic\", \"axes\": \"full\""));
         // Balanced braces/brackets as a cheap well-formedness check.
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());

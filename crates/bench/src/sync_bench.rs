@@ -1,10 +1,9 @@
 //! Sync-policy sweep: best-EDP quality of the sharded mapper under every
-//! [`SyncPolicy`] (off / anchor / restart / annealed) at 1/2/4 disjoint
-//! shards, over conv1d + the Table 1 set at a fixed iso-budget.
+//! [`SyncPolicy`] (off / anchor / annealed) at 1/2/4 disjoint shards, over
+//! conv1d + the Table 1 set at a fixed iso-budget.
 //!
-//! Every point runs the deterministic schedule, so the quality numbers are
-//! machine-independent: the policies exchange incumbents at barrier rounds
-//! whose content depends only on the seed, the budget, and the policy —
+//! The quality numbers are machine-independent: the policies exchange
+//! incumbents between rounds whose content depends only on the seed, the budget, and the policy —
 //! never on worker count or wall-clock. The JSON (`BENCH_sync.json`)
 //! records geomean best EDP, evaluations, and throughput per
 //! (policy, shard-count) point, and is diffed by the CI bench gate.
@@ -22,8 +21,7 @@ use mm_workloads::{evaluated_accelerator, table1};
 use crate::report::{rate, write_bench_json, Stopwatch};
 
 /// Sync interval used by the sweep: short enough that even CI-sized
-/// budgets (200 evaluations per problem) cross several barrier rounds per
-/// shard.
+/// budgets (200 evaluations per problem) cross several rounds per shard.
 const SYNC_INTERVAL: u64 = 16;
 
 /// The measured policy set (paired with stable labels for the JSON).
@@ -31,10 +29,6 @@ pub fn policy_set() -> Vec<(String, SyncPolicy)> {
     vec![
         ("off".to_string(), SyncPolicy::Off),
         ("anchor".to_string(), SyncPolicy::Anchor),
-        (
-            "restart(patience=2)".to_string(),
-            SyncPolicy::Restart { patience: 2 },
-        ),
         (
             "annealed(0.9->0.1)".to_string(),
             SyncPolicy::Annealed {
@@ -194,10 +188,10 @@ mod tests {
 
     #[test]
     fn tiny_sync_bench_produces_all_points_and_valid_json() {
-        // 144 evals ⇒ a 4-shard share of 36 crosses two 16-eval barrier
-        // rounds, so the policies actually fire even at test size.
+        // 144 evals ⇒ a 4-shard share of 36 crosses two 16-eval rounds, so
+        // the policies actually fire even at test size.
         let result = run_sync_bench(144, 2, 3);
-        assert_eq!(result.points.len(), 12, "4 policies x 3 shard counts");
+        assert_eq!(result.points.len(), 9, "3 policies x 3 shard counts");
         assert_eq!(result.problems.len(), 9, "conv1d + eight Table 1 rows");
         for p in &result.points {
             assert!(p.geomean_best_edp.is_finite() && p.geomean_best_edp > 0.0);
@@ -216,7 +210,7 @@ mod tests {
         assert_ne!(edp("off", 4), edp("anchor", 4));
         let json = result.to_json();
         assert!(json.contains("\"bench\": \"sync_policy\""));
-        assert!(json.contains("restart(patience=2)"));
+        assert!(json.contains("annealed(0.9->0.1)"));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());
     }

@@ -171,11 +171,9 @@ impl MindMappings {
     /// proposal is scored by `objective` as it is visited.
     ///
     /// With [`Phase2Config::sync`] enabled, the policy is consulted before
-    /// each trajectory after the first — stall counter = consecutive shards
-    /// without a best improvement, progress = fraction of shards completed
-    /// — and, when it acts, the running best mapping is handed to the next
-    /// shard's proposer as its starting anchor (`Adopt`) or warm restart
-    /// (`Restart`).
+    /// each trajectory after the first — progress = fraction of shards
+    /// completed — and, when it acts, the running best mapping is handed to
+    /// the next shard's proposer as its starting anchor.
     fn search_sharded(
         &self,
         problem: &ProblemSpec,
@@ -202,20 +200,15 @@ impl MindMappings {
         let space = self.map_space(problem);
         let shards = self.effective_shards(&space);
         let mut merged = SearchTrace::new("MM");
-        let mut sync_state = mm_search::SyncState::new();
         for s in 0..shards {
             let view = space.shard(s, shards);
             let mut proposer =
                 crate::GradientProposer::new(&self.surrogate, problem.clone(), self.phase2)?;
-            // One sync point per shard boundary: the stall counter tracks
-            // consecutive shards that failed to improve the merged best,
-            // and SyncState re-arms it whenever a restart fires.
+            // One sync point per shard boundary.
             if self.phase2.sync.is_enabled() && s > 0 {
                 if let Some(best) = &merged.best_mapping {
                     let progress = s as f64 / shards as f64;
-                    if let Some(action) =
-                        sync_state.decide(&self.phase2.sync, Some(merged.best_cost), progress, rng)
-                    {
+                    if let Some(action) = self.phase2.sync.decide(progress, rng) {
                         use mm_search::ProposalSearch;
                         proposer.observe_global_best(&view, best, merged.best_cost, action, rng);
                     }
@@ -427,7 +420,6 @@ mod tests {
         let problem = ProblemSpec::conv1d(640, 5);
         for sync in [
             SyncPolicy::Anchor,
-            SyncPolicy::Restart { patience: 0 },
             SyncPolicy::Annealed {
                 start: 1.0,
                 end: 1.0,

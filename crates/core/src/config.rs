@@ -136,17 +136,8 @@ pub struct Phase2Config {
     /// With `shards > 1` the policy is consulted before each trajectory
     /// after the first: it may hand the running best mapping to the next
     /// shard's [`GradientProposer`](crate::GradientProposer) as its
-    /// starting anchor (`Adopt`) or as a reseeded warm restart (`Restart`,
-    /// which also resets the injection temperature schedule).
+    /// starting anchor.
     pub sync: SyncPolicy,
-    /// Horizon-compressed injection schedule (off by default): compress
-    /// the annealed-injection temperature schedule into the evaluation
-    /// horizon the driver begins each trajectory with — the exact
-    /// per-shard budget share under the sharded Phase-2 search, or the
-    /// shard-scaled hint (`MapSpaceView::horizon_hint`) when an
-    /// orchestrator's own `shard_horizon` knob supplies one — instead of
-    /// annealing at the fixed full-space cadence.
-    pub shard_horizon: bool,
 }
 
 impl Default for Phase2Config {
@@ -160,7 +151,6 @@ impl Default for Phase2Config {
             decay_every_injections: 50,
             shards: 1,
             sync: SyncPolicy::Off,
-            shard_horizon: false,
         }
     }
 }
@@ -193,7 +183,6 @@ mod tests {
         assert_eq!(c.decay_every_injections, 50);
         assert_eq!(c.shards, 1, "sharding is off by default");
         assert_eq!(c.sync, SyncPolicy::Off, "sync is off by default");
-        assert!(!c.shard_horizon, "horizon hints are off by default");
     }
 
     #[test]

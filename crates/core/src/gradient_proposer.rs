@@ -25,21 +25,13 @@ use crate::gradient_search::Trajectory;
 use crate::surrogate::Surrogate;
 use crate::MindMappingsError;
 
-/// Temperature decays the compressed injection schedule targets within a
-/// hinted horizon: `0.75^16 ≈ 1%` of the initial temperature, the
-/// effective end of the default annealing schedule.
-const TARGET_DECAYS: u64 = 16;
-
 /// The Phase-2 gradient search as a stepwise proposal source.
 #[derive(Debug, Clone)]
 pub struct GradientProposer {
     surrogate: Surrogate,
     problem: ProblemSpec,
     config: Phase2Config,
-    /// The live trajectory of one run. Its decay cadence is the config
-    /// value, or the horizon-compressed one when
-    /// [`Phase2Config::shard_horizon`] applies (see
-    /// [`ProposalSearch::begin`]).
+    /// The live trajectory of one run.
     trajectory: Option<Trajectory>,
     /// Whether the run's starting mapping has been proposed yet.
     proposed_initial: bool,
@@ -82,27 +74,12 @@ impl ProposalSearch for GradientProposer {
         "MM"
     }
 
-    fn begin(&mut self, space: &dyn MapSpaceView, horizon: Option<u64>, rng: &mut StdRng) {
+    fn begin(&mut self, space: &dyn MapSpaceView, _horizon: Option<u64>, rng: &mut StdRng) {
         assert_eq!(
             (space.problem().num_dims(), space.problem().num_tensors()),
             (self.problem.num_dims(), self.problem.num_tensors()),
             "map space problem shape does not match the proposer's problem"
         );
-        // Horizon-compressed injection schedule: ~TARGET_DECAYS temperature
-        // decays land within the horizon the driver begun us with, instead
-        // of annealing at the fixed cadence a full-space run would use. The
-        // horizon is used *as handed over* — a driver with its own
-        // `shard_horizon` knob (Mapper, serve scheduler) already passes the
-        // shard-scaled hint, so scaling exactly once stays the driver's
-        // job. Off by default (and inert when decay is disabled), so
-        // un-hinted runs are bit-identical to before.
-        let decay_every = match horizon {
-            Some(h) if self.config.shard_horizon && self.config.decay_every_injections > 0 => {
-                let injections = (h / self.config.injection_interval.max(1)).max(1);
-                (injections / TARGET_DECAYS).max(1)
-            }
-            _ => self.config.decay_every_injections,
-        };
         // Start from a stashed incumbent when a sync policy handed one
         // over before the run. The incumbent may come from another shard's
         // disjoint slice, and the first proposal is emitted verbatim — so
@@ -115,15 +92,11 @@ impl ProposalSearch for GradientProposer {
             }
             None => space.random_mapping(rng),
         };
-        let config = Phase2Config {
-            decay_every_injections: decay_every,
-            ..self.config
-        };
         self.trajectory = Some(Trajectory::new(
             &self.surrogate,
             &self.problem,
             start,
-            config,
+            self.config,
         ));
         self.proposed_initial = false;
     }
@@ -167,26 +140,21 @@ impl ProposalSearch for GradientProposer {
     fn report(&mut self, _mapping: &Mapping, _cost: f64, _rng: &mut StdRng) {}
 
     /// Re-anchor the trajectory on the incumbent: the current point (and
-    /// its whitened encoding) jump to `mapping`, and
-    /// [`SyncAction::Restart`] additionally resets the annealed-injection
-    /// temperature schedule so the reseeded trajectory regains its early
-    /// acceptance mobility. Observed before [`begin`](ProposalSearch::begin),
-    /// the incumbent is stashed and becomes the next run's starting point
-    /// (repaired into that run's view, which may be a different shard).
+    /// its whitened encoding) jump to `mapping`. Observed before
+    /// [`begin`](ProposalSearch::begin), the incumbent is stashed and
+    /// becomes the next run's starting point (repaired into that run's
+    /// view, which may be a different shard).
     fn observe_global_best(
         &mut self,
         _space: &dyn MapSpaceView,
         mapping: &Mapping,
         _cost: f64,
-        action: SyncAction,
+        _action: SyncAction,
         _rng: &mut StdRng,
     ) {
         match self.trajectory.as_mut() {
             Some(trajectory) => {
                 trajectory.move_to(&self.surrogate, &self.problem, mapping.clone());
-                if action == SyncAction::Restart {
-                    trajectory.restart_schedule();
-                }
             }
             None => self.pending_anchor = Some(mapping.clone()),
         }
@@ -242,44 +210,6 @@ mod tests {
         buf.clear();
         gp.propose(&space, &mut rng, 32, &mut buf);
         assert!(!buf.is_empty());
-    }
-
-    #[test]
-    fn shard_horizon_compresses_the_injection_schedule() {
-        let s = surrogate(5);
-        let problem = mm_mapspace::ProblemSpec::conv1d(900, 7);
-        let space = MapSpace::new(problem.clone(), s.arch().mapping_constraints());
-        let shard = space.shard(0, 4);
-        let mut rng = StdRng::seed_from_u64(6);
-        let cadence = |gp: &GradientProposer| {
-            let trajectory = gp.trajectory.as_ref().unwrap();
-            trajectory.config.decay_every_injections
-        };
-
-        // Default cadence: 50 injections per decay regardless of horizon.
-        let mut gp = GradientProposer::new(&s, problem.clone(), Phase2Config::default()).unwrap();
-        gp.begin(&shard, Some(320), &mut rng);
-        assert_eq!(cadence(&gp), 50);
-
-        // Compressed: a 320-eval horizon (as handed by the driver — raw
-        // share or an orchestrator's shard-scaled hint) fits the whole
-        // ~16-decay schedule into the run: 320/10 injections / 16 = 2.
-        let cfg = Phase2Config {
-            shard_horizon: true,
-            ..Phase2Config::default()
-        };
-        let mut gp = GradientProposer::new(&s, problem.clone(), cfg).unwrap();
-        gp.begin(&shard, Some(320), &mut rng);
-        assert_eq!(cadence(&gp), 2, "cadence must compress to the horizon");
-        // Disabled decay stays disabled.
-        let cfg = Phase2Config {
-            shard_horizon: true,
-            decay_every_injections: 0,
-            ..Phase2Config::default()
-        };
-        let mut gp = GradientProposer::new(&s, problem, cfg).unwrap();
-        gp.begin(&shard, Some(320), &mut rng);
-        assert_eq!(cadence(&gp), 0);
     }
 
     #[test]

@@ -10,7 +10,6 @@
 //! is what Phase 2 descends.
 
 use mm_accel::{AlgorithmicMinimum, Architecture};
-use mm_mapspace::mapping::{Level, ONCHIP_LEVELS};
 use mm_mapspace::{Encoding, Mapping, ProblemSpec};
 use mm_nn::optim::Sgd;
 use mm_nn::{
@@ -164,11 +163,6 @@ impl Surrogate {
 
     /// In-place form of [`encode_normalized`](Self::encode_normalized): `x`
     /// is overwritten (its allocation reused).
-    ///
-    /// Writes the segments of [`Encoding::encode`] in its order — problem
-    /// id, tile factors, parallelism, loop-order positions, buffer
-    /// fractions — because that one only returns a fresh `Vec`; a unit test
-    /// holds the two to the same bits.
     // mm-lint: hot-path — one call per gradient-search step.
     pub fn encode_normalized_into(
         &self,
@@ -176,25 +170,7 @@ impl Surrogate {
         mapping: &Mapping,
         x: &mut Vec<f32>,
     ) {
-        x.clear();
-        x.extend(problem.dim_sizes.iter().map(|&s| s as f32));
-        for level in Level::ALL {
-            x.extend(
-                problem
-                    .dims()
-                    .map(|d| mapping.trip_count(problem, level, d) as f32),
-            );
-        }
-        x.extend(problem.dims().map(|d| mapping.parallelism(d) as f32));
-        for level in Level::ALL {
-            let order = mapping.order(level);
-            x.extend(
-                (0..self.num_dims).map(|d| order.iter().position(|&o| o == d).unwrap_or(d) as f32),
-            );
-        }
-        for fractions in &mapping.buffer_alloc[..ONCHIP_LEVELS] {
-            x.extend(fractions[..self.num_tensors].iter().map(|&f| f as f32));
-        }
+        self.encoding().encode_into(problem, mapping, x);
         self.input_norm.transform_in_place(x);
     }
 
@@ -543,9 +519,8 @@ mod tests {
         use mm_workloads::cnn::CnnFamily;
         use mm_workloads::mttkrp::MttkrpFamily;
 
-        // The in-place encoder writes the segments of `Encoding::encode`
-        // itself: hold it to that format, and the decoder to the whole-vector
-        // inverse it replaced, on every family shape (2/3, 7/3, 4/4
+        // Hold the in-place encoder to `Encoding::encode` + whitening, and
+        // the decoder to the whole-vector inverse, on every family shape (2/3, 7/3, 4/4
         // dims/tensors) through buffers that held another shape before.
         let arch = mm_workloads::evaluated_accelerator();
         let families: [&dyn ProblemFamily; 3] = [

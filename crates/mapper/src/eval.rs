@@ -10,7 +10,6 @@
 
 use std::cell::RefCell;
 use std::collections::HashMap;
-use std::ops::Range;
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -34,7 +33,9 @@ pub trait CostEvaluator: Send + Sync {
     /// Evaluate one mapping.
     fn evaluate(&self, mapping: &Mapping) -> Evaluation;
 
-    /// Evaluate a batch of mappings, preserving input order.
+    /// Evaluate a batch of mappings, preserving input order: exactly one
+    /// result per mapping (both the [`EvalPool`] workers and the `Mapper`'s
+    /// inline path reject anything else).
     ///
     /// The default loops over [`evaluate`](Self::evaluate); evaluators with a
     /// cheaper amortized path (the surrogate's single batched forward pass,
@@ -173,24 +174,11 @@ impl Objective for EvaluatorObjective {
     }
 }
 
-/// The mappings of one job: either owned outright, or a sub-range of a
-/// shared batch ([`EvalPool::submit_shared`] fans one `Arc`'d proposal
-/// batch out to every worker without cloning a single mapping).
-enum JobMappings {
-    Owned(Vec<Mapping>),
-    Shared {
-        batch: Arc<Vec<Mapping>>,
-        range: Range<usize>,
-    },
-}
-
-impl JobMappings {
-    fn as_slice(&self) -> &[Mapping] {
-        match self {
-            JobMappings::Owned(v) => v,
-            JobMappings::Shared { batch, range } => &batch[range.clone()],
-        }
-    }
+/// What both evaluation paths (pool workers, the `Mapper`'s inline loop)
+/// fail with when an `evaluate_batch` override returns the wrong number of
+/// results.
+pub(crate) fn short_batch_message(results: usize, mappings: usize) -> String {
+    format!("evaluate_batch returned {results} results for {mappings} mappings")
 }
 
 /// One unit of work for the pool: a batch of mappings occupying the
@@ -199,7 +187,7 @@ impl JobMappings {
 /// [`CostEvaluator::evaluate_batch`] call on one worker.
 struct Job {
     base_id: u64,
-    mappings: JobMappings,
+    mappings: Vec<Mapping>,
     evaluator: Option<Arc<dyn CostEvaluator>>,
     /// Enqueue time, captured only when telemetry timing is on so the off
     /// level never reads a clock (the queue-latency histogram is fed from
@@ -217,11 +205,9 @@ struct Job {
 /// completion order — single-mapping [`submit`](EvalPool::submit)/
 /// [`recv`](EvalPool::recv) consumers are unaffected.
 ///
-/// Every submission may carry its own evaluator
-/// ([`submit_for`](EvalPool::submit_for) /
-/// [`submit_batch_for`](EvalPool::submit_batch_for)), so one long-lived pool
-/// can serve many problems at once — the substrate of `mm-serve`'s
-/// whole-network mapping service.
+/// Every [`submit_chunked`](EvalPool::submit_chunked) submission may carry
+/// its own evaluator, so one long-lived pool can serve many problems at
+/// once — the substrate of `mm-serve`'s whole-network mapping service.
 pub struct EvalPool {
     job_tx: Option<Sender<Job>>,
     result_rx: Receiver<(u64, Result<Evaluation, Arc<str>>)>,
@@ -253,10 +239,10 @@ impl EvalPool {
         Self::spawn(Some(evaluator), workers)
     }
 
-    /// Spawn a pool with **no** default evaluator: every submission must use
-    /// [`submit_for`](Self::submit_for) /
-    /// [`submit_batch_for`](Self::submit_batch_for). This is the shape used
-    /// by a long-lived shared pool serving many problems (`mm-serve`).
+    /// Spawn a pool with **no** default evaluator: every submission must
+    /// name one through [`submit_chunked`](Self::submit_chunked). This is
+    /// the shape used by a long-lived shared pool serving many problems
+    /// (`mm-serve`).
     ///
     /// # Panics
     ///
@@ -304,7 +290,7 @@ impl EvalPool {
                             let evaluator = job.evaluator.as_ref().or(default_evaluator.as_ref());
                             let Some(evaluator) = evaluator else {
                                 let msg: Arc<str> =
-                                    Arc::from("pool has no default evaluator; use submit_for");
+                                    Arc::from("pool has no default evaluator; use submit_chunked");
                                 for i in 0..n {
                                     let _ =
                                         result_tx.send((job.base_id + i, Err(Arc::clone(&msg))));
@@ -334,12 +320,7 @@ impl EvalPool {
                                 }
                                 Ok(evals) => {
                                     let msg: Arc<str> = Arc::from(
-                                        format!(
-                                            "evaluate_batch returned {} results for {} mappings",
-                                            evals.len(),
-                                            mappings.len()
-                                        )
-                                        .as_str(),
+                                        short_batch_message(evals.len(), mappings.len()).as_str(),
                                     );
                                     for i in 0..n {
                                         let _ = result_tx
@@ -390,24 +371,13 @@ impl EvalPool {
 
     /// Submit one mapping for the pool's default evaluator; returns its id.
     pub fn submit(&mut self, mapping: Mapping) -> u64 {
-        self.submit_batch_for(None, vec![mapping]).start
-    }
-
-    /// Submit one mapping to be scored by `evaluator`; returns its id.
-    pub fn submit_for(&mut self, evaluator: Arc<dyn CostEvaluator>, mapping: Mapping) -> u64 {
-        self.submit_batch_for(Some(evaluator), vec![mapping]).start
+        self.submit_job(None, vec![mapping]).start
     }
 
     /// Submit a batch of mappings as **one job** (one worker, one
-    /// [`CostEvaluator::evaluate_batch`] call) for the default evaluator;
-    /// returns the contiguous id range assigned to the batch members.
-    pub fn submit_batch(&mut self, mappings: Vec<Mapping>) -> std::ops::Range<u64> {
-        self.submit_batch_for(None, mappings)
-    }
-
-    /// Submit a batch of mappings as one job for `evaluator` (`None` = the
+    /// [`CostEvaluator::evaluate_batch`] call) for `evaluator` (`None` = the
     /// pool default); returns the contiguous id range of the batch members.
-    pub fn submit_batch_for(
+    fn submit_job(
         &mut self,
         evaluator: Option<Arc<dyn CostEvaluator>>,
         mappings: Vec<Mapping>,
@@ -433,7 +403,7 @@ impl EvalPool {
             .expect("pool not shut down")
             .send(Job {
                 base_id,
-                mappings: JobMappings::Owned(mappings),
+                mappings,
                 evaluator,
                 queued_at: mm_telemetry::timing_enabled().then(std::time::Instant::now),
             })
@@ -447,8 +417,8 @@ impl EvalPool {
     /// worker (`None` = the pool default evaluator); returns the contiguous
     /// id range of the batch members. This is the canonical fan-out idiom —
     /// every worker gets one [`CostEvaluator::evaluate_batch`] call instead
-    /// of one job per mapping — shared by [`evaluate_batch`](Self::evaluate_batch),
-    /// `run_pipelined`, and `mm-serve`'s scheduler.
+    /// of one job per mapping — shared by [`evaluate_batch`](Self::evaluate_batch)
+    /// and `mm-serve`'s scheduler.
     pub fn submit_chunked(
         &mut self,
         evaluator: Option<Arc<dyn CostEvaluator>>,
@@ -460,62 +430,9 @@ impl EvalPool {
         }
         let chunk = mappings.len().div_ceil(self.workers()).max(1);
         for c in mappings.chunks(chunk) {
-            self.submit_batch_for(evaluator.clone(), c.to_vec());
+            self.submit_job(evaluator.clone(), c.to_vec());
         }
         base_id..base_id + mappings.len() as u64
-    }
-
-    /// Zero-copy variant of [`submit_chunked`](Self::submit_chunked): fan the
-    /// first `count` mappings of an `Arc`-shared batch out as one contiguous
-    /// chunk job per worker, without cloning a single mapping. Chunk sizes,
-    /// id assignment, and telemetry match `submit_chunked` exactly.
-    // mm-lint: hot-path — the steady-state eval loop must not allocate.
-    pub fn submit_shared(
-        &mut self,
-        evaluator: Option<Arc<dyn CostEvaluator>>,
-        batch: &Arc<Vec<Mapping>>,
-        count: usize,
-    ) -> Range<u64> {
-        let base_id = self.next_id;
-        let count = count.min(batch.len());
-        if count == 0 {
-            return base_id..base_id;
-        }
-        let chunk = count.div_ceil(self.workers()).max(1);
-        let mut start = 0usize;
-        while start < count {
-            let end = (start + chunk).min(count);
-            let n = (end - start) as u64;
-            self.next_id += n;
-            self.in_flight += n;
-            {
-                static BATCH_SIZES: std::sync::OnceLock<Arc<mm_telemetry::Histogram>> =
-                    std::sync::OnceLock::new();
-                BATCH_SIZES
-                    .get_or_init(|| mm_telemetry::histogram("eval_pool.batch_size"))
-                    .record(n);
-            }
-            self.job_tx
-                .as_ref()
-                // mm-lint: allow(panic): submitting after shutdown() is a
-                // driver bug, not a recoverable state.
-                .expect("pool not shut down")
-                .send(Job {
-                    base_id: base_id + start as u64,
-                    mappings: JobMappings::Shared {
-                        batch: Arc::clone(batch),
-                        range: start..end,
-                    },
-                    evaluator: evaluator.clone(),
-                    queued_at: mm_telemetry::timing_enabled().then(std::time::Instant::now),
-                })
-                // mm-lint: allow(panic): workers only exit after the job
-                // channel closes, so a send failure means the pool was torn
-                // down early.
-                .expect("evaluation workers alive");
-            start = end;
-        }
-        base_id..base_id + count as u64
     }
 
     /// Block until the next result is ready.
@@ -563,26 +480,6 @@ impl EvalPool {
             .expect("evaluation workers alive while jobs are in flight");
         self.in_flight -= 1;
         (id, result)
-    }
-
-    /// A result if one is already available.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the worker evaluating the received job panicked.
-    pub fn try_recv(&mut self) -> Option<(u64, Evaluation)> {
-        match self.result_rx.try_recv() {
-            Ok((id, result)) => {
-                self.in_flight -= 1;
-                match result {
-                    Ok(eval) => Some((id, eval)),
-                    // mm-lint: allow(panic): re-raising a worker panic on
-                    // the consuming thread is propagation, not a new failure.
-                    Err(msg) => panic!("evaluation worker panicked: {msg}"),
-                }
-            }
-            Err(_) => None,
-        }
     }
 
     /// Evaluate a batch, preserving input order. Requires nothing else in
@@ -672,7 +569,7 @@ mod tests {
         }
         seen.sort_unstable();
         assert_eq!(seen, ids);
-        assert!(pool.try_recv().is_none());
+        assert_eq!(pool.in_flight(), 0);
     }
 
     #[test]
@@ -762,8 +659,11 @@ mod tests {
             Arc::new(FnEvaluator::new(|m: &Mapping| m.active_pes() as f64));
 
         let mut pool = EvalPool::shared(2);
-        let a = pool.submit_for(Arc::clone(&model_eval), m.clone());
-        let b = pool.submit_for(Arc::clone(&pes), m.clone());
+        let one = std::slice::from_ref(&m);
+        let a = pool
+            .submit_chunked(Some(Arc::clone(&model_eval)), one)
+            .start;
+        let b = pool.submit_chunked(Some(Arc::clone(&pes)), one).start;
         let mut results: HashMap<u64, Evaluation> = HashMap::new();
         for _ in 0..2 {
             let (id, eval) = pool.recv();
@@ -774,7 +674,7 @@ mod tests {
 
         // Batch ids are contiguous and in input order.
         let batch: Vec<Mapping> = (0..4).map(|_| space.random_mapping(&mut rng)).collect();
-        let ids = pool.submit_batch_for(Some(Arc::clone(&model_eval)), batch.clone());
+        let ids = pool.submit_chunked(Some(Arc::clone(&model_eval)), &batch);
         assert_eq!(ids.end - ids.start, 4);
         let mut by_id: HashMap<u64, Evaluation> = HashMap::new();
         for _ in 0..4 {

@@ -14,23 +14,15 @@
 //!   ([`Evaluation`]);
 //! * [`EvalPool`] — a `std::thread` worker pool evaluating batches of
 //!   mappings concurrently over channels;
-//! * [`run_pipelined`] — drives any `ProposalSearch` (the stepwise protocol
-//!   from `mm-search`'s trait split) against an [`EvalPool`] with proposals
-//!   pipelined ahead of pending evaluations;
-//! * [`BridgedSearcher`] — adapts any monolithic `Searcher` (e.g. the DDPG
-//!   agent) to the stepwise protocol by inverting control on a dedicated
-//!   thread;
 //! * [`Mapper`] — the driver: partitions the search into deterministically
 //!   seeded logical shards (optionally slicing the map space itself into
 //!   pairwise-disjoint subspaces via `MapSpace::shard`), executes them on a
-//!   worker-thread pool with a deterministic or work-stealing budget
-//!   schedule, syncs a shared best mapping every
-//!   [`MapperConfig::sync_interval`] evaluations under a configurable
-//!   [`SyncPolicy`] (re-anchor always / on stall / with annealed
-//!   probability — exchanged at deterministic barrier rounds under the
-//!   deterministic schedule), and terminates on Timeloop-style
-//!   [`TerminationPolicy`] knobs (`search_size`, `victory_condition`,
-//!   `timeout`).
+//!   worker-thread pool in rounds, exchanges the best mapping between
+//!   rounds every [`MapperConfig::sync_interval`] evaluations under a
+//!   configurable [`SyncPolicy`] (never / always / with annealed
+//!   probability — worker-count independent under each), and terminates on
+//!   Timeloop-style [`TerminationPolicy`] knobs (`search_size`,
+//!   `victory_condition`, `timeout`).
 //!
 //! ```
 //! use std::sync::Arc;
@@ -55,20 +47,14 @@
 //! assert!(space.is_member(report.best_mapping.as_ref().unwrap()));
 //! ```
 
-pub mod bridge;
 pub mod eval;
 pub mod mapper;
 pub mod metrics;
-pub mod pipeline;
 pub mod policy;
 
-pub use bridge::{BridgedSearcher, SearcherFactory};
 pub use eval::{CostEvaluator, EvalPool, EvaluatorObjective, FnEvaluator, ModelEvaluator};
-pub use mapper::{
-    derive_stream_seed, Mapper, MapperConfig, MapperReport, MapperSchedule, ShardReport,
-};
+pub use mapper::{derive_stream_seed, Mapper, MapperConfig, MapperReport, ShardReport};
 pub use metrics::{Evaluation, OptMetric};
-pub use pipeline::{pipeline_depth, run_pipelined, MIN_PIPELINE_DEPTH};
 pub use policy::{split_evenly, StopReason, TerminationPolicy};
 // The sync-policy vocabulary is defined next to the searchers (mm-search)
 // and re-exported here because `MapperConfig::sync` is its main consumer.

@@ -14,70 +14,38 @@
 //!   Workers pull shards off a queue; shard results are merged in shard
 //!   order.
 //!
-//! # Scheduling and determinism
+//! # One schedule
 //!
-//! [`MapperSchedule::Deterministic`] gives every shard its exact
-//! [`split_evenly`](crate::policy::split_evenly) share of `search_size` up
-//! front. Shard `s` of a run with seed `q` always performs the same
-//! evaluations, so [`MapperReport::canonical_string`] is **byte-identical
-//! across worker counts** — 1 thread or 16, same report.
-//!
-//! [`MapperSchedule::WorkStealing`] pools `search_size` in a shared ledger:
-//! shards claim budget in batches as they go, and a shard whose searcher
-//! exhausts (or declares victory) returns its unclaimed budget for the
-//! remaining shards to steal. The full budget is spent even when shards
-//! finish unevenly — at the cost of run-to-run determinism under real
-//! concurrency.
-//!
-//! # Global-best synchronization
-//!
-//! [`MapperConfig::sync`] installs a [`SyncPolicy`]: shards periodically
-//! observe the shared incumbent and re-anchor on it (`Anchor`), restart
-//! from it when stalled (`Restart`), or adopt it with an annealed
-//! probability (`Annealed`). Under [`MapperSchedule::Deterministic`] the
-//! exchange happens at **barrier rounds**: every shard runs exactly
-//! `sync_interval` evaluations, then all shards rendezvous, merge their
-//! bests in shard order, and apply the policy — so the incumbent each
-//! shard sees (and hence the whole report) is *independent of worker
-//! count*, preserving the byte-identical
-//! [`MapperReport::canonical_string`] guarantee under every policy. Under
-//! [`MapperSchedule::WorkStealing`] shards snapshot the live shared best
-//! instead (no barriers, not deterministic under real concurrency).
+//! Every shard gets its exact [`split_evenly`](crate::policy::split_evenly)
+//! share of `search_size`, and a run is a sequence of **rounds**: each live
+//! shard runs one round (on any worker), all shards rendezvous, their bests
+//! are merged in shard order, and each still-live shard applies the
+//! [`SyncPolicy`] to the merged incumbent. A round is
+//! [`MapperConfig::sync_interval`] evaluations long when a policy is
+//! enabled; with [`SyncPolicy::Off`] the run is one round of each shard's
+//! whole share. Each round's work depends only on shard-local state and the
+//! incumbent delivered before it, so shard `s` of a run with seed `q` always
+//! performs the same evaluations and [`MapperReport::canonical_string`] is
+//! **byte-identical across worker counts** — 1 thread or 16, same report,
+//! under every policy, with or without a `search_size`.
 //!
 //! Wall-clock `timeout` still intentionally trades determinism away.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use mm_mapspace::{MapSpace, MapSpaceView, Mapping, ShardAxisKind};
+use mm_mapspace::{MapSpace, MapSpaceView, Mapping};
 use mm_search::{
-    merge_shard_convergence, ConvergenceTrace, ProposalBuf, ProposalSearch, SearchTrace,
-    SyncAction, SyncPolicy, SyncState,
+    merge_shard_convergence, ConvergenceTrace, ProposalBuf, ProposalSearch, SearchTrace, SyncPolicy,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
-use crate::eval::CostEvaluator;
+use crate::eval::{short_batch_message, CostEvaluator};
 use crate::metrics::Evaluation;
 use crate::policy::{StopReason, TerminationPolicy};
-
-/// How shard budgets are scheduled onto worker threads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum MapperSchedule {
-    /// Every shard gets its exact `search_size` share up front. Preserves
-    /// the per-shard replay guarantee: the canonical report is byte-identical
-    /// across worker counts.
-    #[default]
-    Deterministic,
-    /// Shards claim evaluation budget from a shared ledger in batches; idle
-    /// capacity (an exhausted or victorious shard's leftover budget) is
-    /// stolen by unfinished shards. Spends the whole budget under
-    /// heterogeneous searchers, but is not deterministic under concurrency.
-    WorkStealing,
-}
 
 /// Configuration of a [`Mapper`] run.
 #[derive(Debug, Clone)]
@@ -94,27 +62,11 @@ pub struct MapperConfig {
     /// alone. Shard counts beyond the space's
     /// [`MapSpace::shard_capacity`] are clamped.
     pub shard_space: bool,
-    /// Restrict [`shard_space`](Self::shard_space) partitions to this
-    /// subset of the axis product (`None`, the default: the full product —
-    /// L2 order × L1 order × parallelism split × tile prefix). Shard counts
-    /// clamp to the subset's [`MapSpace::shard_capacity_for`].
-    pub shard_axes: Option<Vec<ShardAxisKind>>,
-    /// Shard-aware horizon hint (off by default): size each shard's
-    /// schedule-based searchers (SA cooling, GA generations) to the
-    /// shard-scaled horizon ([`MapSpaceView::horizon_hint`]) instead of the
-    /// raw per-shard budget, so searchers confined to a slice stop tuning
-    /// their schedules as if they owned the full space. Purely a function
-    /// of shard-local state, so the deterministic-schedule replay guarantee
-    /// is preserved.
-    pub shard_horizon: bool,
-    /// Budget scheduling across shards.
-    pub schedule: MapperSchedule,
     /// Master seed; per-shard streams are derived deterministically.
     pub seed: u64,
-    /// Evaluations between sync points: a shard publishing its best to the
-    /// shared global best, and — with [`MapperConfig::sync`] enabled — the
-    /// cadence at which the [`SyncPolicy`] is consulted (the barrier-round
-    /// length under the deterministic schedule).
+    /// Round length, in evaluations per shard, when [`sync`](Self::sync) is
+    /// enabled: the cadence at which shards rendezvous and the
+    /// [`SyncPolicy`] is consulted (0 disables the exchange).
     pub sync_interval: u64,
     /// Maximum proposals a shard requests per driver iteration (bounded
     /// further by the searcher's own lookahead).
@@ -122,13 +74,9 @@ pub struct MapperConfig {
     /// When to stop.
     pub termination: TerminationPolicy,
     /// How shards re-anchor on the shared global best ([`SyncPolicy::Off`]:
-    /// never — fully independent shards). Under
-    /// [`MapperSchedule::Deterministic`] with a `search_size` budget the
-    /// policy runs at barrier rounds and preserves the byte-identical
-    /// canonical report across worker counts; under
-    /// [`MapperSchedule::WorkStealing`] (or unbounded budgets) shards
-    /// snapshot the live shared best instead, which is not deterministic
-    /// under real concurrency.
+    /// never — fully independent shards). The policy runs between rounds
+    /// and preserves the byte-identical canonical report across worker
+    /// counts.
     pub sync: SyncPolicy,
     /// Record a full per-shard [`SearchTrace`] (costs mapping clones per
     /// evaluation; leave off for throughput measurements).
@@ -141,9 +89,6 @@ impl Default for MapperConfig {
             threads: 1,
             shards: None,
             shard_space: false,
-            shard_axes: None,
-            shard_horizon: false,
-            schedule: MapperSchedule::Deterministic,
             seed: 0,
             sync_interval: 64,
             batch_size: 16,
@@ -196,8 +141,7 @@ pub struct MapperReport {
     /// shards in the canonical round-robin order
     /// ([`merge_shard_convergence`]). Present when per-shard convergence
     /// was recorded (traces requested or telemetry on); deterministic
-    /// across worker counts under [`MapperSchedule::Deterministic`], but —
-    /// like `telemetry` — excluded from
+    /// across worker counts, but — like `telemetry` — excluded from
     /// [`canonical_string`](Self::canonical_string) so levels that do not
     /// record it replay byte-identically.
     pub convergence: Option<ConvergenceTrace>,
@@ -217,12 +161,11 @@ impl MapperReport {
     }
 
     /// Render the deterministic portion of the report — everything except
-    /// the wall-clock fields — as a stable string. Under
-    /// [`MapperSchedule::Deterministic`] with a `search_size` budget (and
-    /// no wall-clock `timeout`), the same seed and shard count produce
-    /// byte-identical output **regardless of worker count**, under *every*
-    /// [`SyncPolicy`] — policy-enabled runs exchange incumbents at barrier
-    /// rounds whose content is worker-count independent.
+    /// the wall-clock fields — as a stable string. Without a wall-clock
+    /// `timeout`, the same seed and shard count produce byte-identical
+    /// output **regardless of worker count**, under *every* [`SyncPolicy`]
+    /// — policy-enabled runs exchange incumbents between rounds whose
+    /// content is worker-count independent.
     pub fn canonical_string(&self) -> String {
         use std::fmt::Write;
         let mut out = String::new();
@@ -249,154 +192,29 @@ impl MapperReport {
     }
 }
 
-/// Shared best-so-far mapping, updated at sync intervals.
-#[derive(Default)]
-struct GlobalBest {
-    slot: Mutex<Option<(Mapping, Evaluation)>>,
-}
-
-impl GlobalBest {
-    fn offer(&self, mapping: &Mapping, eval: &Evaluation) {
-        // Poison recovery: the slot is a plain Option that is only ever
-        // replaced whole, so it stays valid if a holder panicked.
-        let mut slot = self.slot.lock().unwrap_or_else(|e| e.into_inner());
-        let better = match slot.as_ref() {
-            None => true,
-            Some((_, incumbent)) => eval.better_than(incumbent),
-        };
-        if better {
-            *slot = Some((mapping.clone(), eval.clone()));
-        }
-    }
-
-    fn snapshot(&self) -> Option<(Mapping, Evaluation)> {
-        self.slot.lock().unwrap_or_else(|e| e.into_inner()).clone()
-    }
-}
-
-/// The shared evaluation-budget ledger of [`MapperSchedule::WorkStealing`]:
-/// shards claim budget in batches and return what they cannot use.
-///
-/// `outstanding` tracks budget claimed but not yet evaluated, so a shard
-/// finding the ledger dry waits for in-flight grants (which may be refunded
-/// by an exhausting peer) instead of stopping early and losing budget.
-struct BudgetLedger {
-    remaining: AtomicU64,
-    outstanding: AtomicU64,
-}
-
-impl BudgetLedger {
-    fn new(total: u64) -> Self {
-        BudgetLedger {
-            remaining: AtomicU64::new(total),
-            outstanding: AtomicU64::new(0),
-        }
-    }
-
-    /// Claim up to `want` evaluations. Returns 0 only when the ledger is dry
-    /// *and* no peer holds claimed-but-unused budget that could be refunded.
-    fn claim(&self, want: u64) -> u64 {
-        loop {
-            let cur = self.remaining.load(Ordering::Acquire);
-            let take = want.min(cur);
-            if take > 0 {
-                // Raise `outstanding` *before* taking from `remaining`: a
-                // peer that sees our decremented `remaining` (Acquire load
-                // pairing with the AcqRel exchange) is then guaranteed to
-                // also see the outstanding balance and wait for the refund
-                // instead of quitting early.
-                self.outstanding.fetch_add(take, Ordering::AcqRel);
-                if self
-                    .remaining
-                    .compare_exchange(cur, cur - take, Ordering::AcqRel, Ordering::Acquire)
-                    .is_ok()
-                {
-                    static GRANTS: std::sync::OnceLock<Arc<mm_telemetry::Counter>> =
-                        std::sync::OnceLock::new();
-                    static GRANTED: std::sync::OnceLock<Arc<mm_telemetry::Counter>> =
-                        std::sync::OnceLock::new();
-                    GRANTS
-                        .get_or_init(|| mm_telemetry::counter("mapper.ledger.grants"))
-                        .bump(1);
-                    GRANTED
-                        .get_or_init(|| mm_telemetry::counter("mapper.ledger.granted_evals"))
-                        .bump(take);
-                    mm_telemetry::event("mapper.ledger.grant", || {
-                        format!("evals={take} remaining={}", cur - take)
-                    });
-                    return take;
-                }
-                // Lost the race: put the optimistic claim back.
-                self.outstanding.fetch_sub(take, Ordering::AcqRel);
-                continue;
-            }
-            if self.outstanding.load(Ordering::Acquire) == 0 {
-                // Refunds restore `remaining` before clearing `outstanding`
-                // (both ends Release/Acquire), so after observing a zero
-                // outstanding balance a re-read of `remaining` sees every
-                // refund that zeroed it: still empty means truly dry.
-                if self.remaining.load(Ordering::Acquire) == 0 {
-                    return 0;
-                }
-                continue;
-            }
-            // A peer still holds budget: it will be spent or refunded.
-            std::thread::yield_now();
-        }
-    }
-
-    /// Mark one claimed evaluation as spent.
-    fn consume(&self) {
-        self.outstanding.fetch_sub(1, Ordering::AcqRel);
-    }
-
-    /// Return unused claimed budget for other shards to steal.
-    fn refund(&self, unused: u64) {
-        if unused > 0 {
-            // Order matters: restore `remaining` first so a peer that sees
-            // `outstanding` hit zero (Acquire) also sees the refunded
-            // budget — see the dry-check in `claim`.
-            self.remaining.fetch_add(unused, Ordering::AcqRel);
-            self.outstanding.fetch_sub(unused, Ordering::AcqRel);
-            static REFUNDS: std::sync::OnceLock<Arc<mm_telemetry::Counter>> =
-                std::sync::OnceLock::new();
-            static REFUNDED: std::sync::OnceLock<Arc<mm_telemetry::Counter>> =
-                std::sync::OnceLock::new();
-            REFUNDS
-                .get_or_init(|| mm_telemetry::counter("mapper.ledger.refunds"))
-                .bump(1);
-            REFUNDED
-                .get_or_init(|| mm_telemetry::counter("mapper.ledger.refunded_evals"))
-                .bump(unused);
-            mm_telemetry::event("mapper.ledger.refund", || format!("evals={unused}"));
-        }
-    }
-}
-
-/// Where a shard's evaluation budget comes from.
-#[derive(Clone, Copy)]
-enum BudgetSource<'a> {
-    /// A fixed share granted up front (`None` = unbounded by search size).
-    Fixed(Option<u64>),
-    /// Batched claims against the shared work-stealing ledger.
-    Ledger(&'a BudgetLedger),
-}
-
 /// Deterministic RNG-stream seed derivation (SplitMix64 over seed ⊕ index):
 /// stream `i` of master seed `s` is always the same, and distinct indices
 /// give decorrelated streams. Used for the mapper's per-shard streams and
 /// exported for any orchestrator needing the same guarantee (e.g.
 /// `mm-serve`'s per-job streams).
 pub fn derive_stream_seed(master: u64, index: usize) -> u64 {
-    shard_seed(master, index)
-}
-
-/// Deterministic per-shard seed derivation (SplitMix64 over seed ⊕ index).
-fn shard_seed(master: u64, shard: usize) -> u64 {
-    let mut z = master.wrapping_add(0x9E37_79B9_7F4A_7C15u64.wrapping_mul(shard as u64 + 1));
+    let mut z = master.wrapping_add(0x9E37_79B9_7F4A_7C15u64.wrapping_mul(index as u64 + 1));
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
+}
+
+/// `best` replaced by `candidate` when the candidate is strictly better
+/// (so ties keep the earlier one — merge in shard order for a
+/// worker-count-independent winner).
+fn keep_better(best: &mut Option<(Mapping, Evaluation)>, candidate: &(Mapping, Evaluation)) {
+    let better = match best.as_ref() {
+        None => true,
+        Some((_, incumbent)) => candidate.1.better_than(incumbent),
+    };
+    if better {
+        *best = Some(candidate.clone());
+    }
 }
 
 /// The multi-threaded mapper orchestration engine.
@@ -422,10 +240,7 @@ impl Mapper {
     pub fn effective_shards(&self, space: &MapSpace) -> usize {
         let shards = self.config.shards.unwrap_or(self.config.threads).max(1);
         if self.config.shard_space {
-            match &self.config.shard_axes {
-                Some(kinds) => space.clamp_shard_count_for(kinds, shards),
-                None => space.clamp_shard_count(shards),
-            }
+            space.clamp_shard_count(shards)
         } else {
             shards
         }
@@ -439,153 +254,110 @@ impl Mapper {
     /// # Panics
     ///
     /// Panics if the termination policy is unbounded (no `search_size`,
-    /// `victory_condition`, or `timeout`) — such a run would never end.
+    /// `victory_condition`, or `timeout`) — such a run would never end —
+    /// or if `evaluator`'s `evaluate_batch` returns a different number of
+    /// results than it was given mappings.
     pub fn run(
         &self,
         space: &MapSpace,
         evaluator: Arc<dyn CostEvaluator>,
         mut factory: impl FnMut(usize) -> Box<dyn ProposalSearch>,
     ) -> MapperReport {
+        let config = &self.config;
         assert!(
-            self.config.termination.is_bounded(),
+            config.termination.is_bounded(),
             "unbounded termination policy: set search_size, victory_condition, or timeout"
         );
-        let threads = self.config.threads.max(1);
         let shards = self.effective_shards(space);
+        let workers = config.threads.clamp(1, shards);
 
         // Per-shard views: disjoint slices of the space when sharding the
         // space itself, otherwise the full space per shard (RNG-stream
         // sharding only).
         let views: Vec<Box<dyn MapSpaceView>> = (0..shards)
-            .map(|s| {
-                if self.config.shard_space && shards > 1 {
-                    match &self.config.shard_axes {
-                        Some(kinds) => {
-                            Box::new(space.shard_with(kinds, s, shards)) as Box<dyn MapSpaceView>
-                        }
-                        None => Box::new(space.shard(s, shards)) as Box<dyn MapSpaceView>,
-                    }
+            .map(|s| -> Box<dyn MapSpaceView> {
+                if config.shard_space && shards > 1 {
+                    Box::new(space.shard(s, shards))
                 } else {
-                    Box::new(space.clone()) as Box<dyn MapSpaceView>
+                    Box::new(space.clone())
                 }
             })
             .collect();
-        let global = GlobalBest::default();
         let stop = AtomicBool::new(false);
         // At the spans level the whole run is one span on the "mapper"
         // track (dropped before the snapshot so it lands in the report).
-        let run_span = mm_telemetry::span_enabled()
-            .then(|| mm_telemetry::track("mapper"))
-            .and_then(|t| t.span("mapper.run"));
+        let track = mm_telemetry::span_enabled().then(|| mm_telemetry::track("mapper"));
+        let run_span = track.as_ref().and_then(|t| t.span("mapper.run"));
         let start = Instant::now();
 
-        let mut runs: Vec<ShardRun> = (0..shards)
-            .map(|s| ShardRun::start(s, shards, &self.config, &*views[s], factory(s)))
+        let mut live: Vec<ShardRun> = (0..shards)
+            .map(|s| ShardRun::start(s, shards, config, &*views[s], factory(s)))
             .collect();
-        let workers = threads.min(shards).max(1);
-
-        // Policy-enabled deterministic runs exchange incumbents at barrier
-        // rounds, which keeps the canonical report worker-count independent;
-        // everything else drives each shard to completion in one go, with
-        // live (racy) snapshots of the shared best when a policy is on.
-        let barrier_sync = self.config.sync.is_enabled()
-            && self.config.schedule == MapperSchedule::Deterministic
-            && self.config.sync_interval > 0
-            && self.config.termination.search_size.is_some()
-            && shards > 1;
-
-        let mut runs = if barrier_sync {
-            run_barrier_rounds(
-                &self.config,
-                runs,
-                workers,
-                &evaluator,
-                &global,
-                &stop,
-                start,
-            )
+        // With no policy to consult there is nothing to rendezvous for: one
+        // round of each shard's whole share.
+        let round_len = if config.sync.is_enabled() && config.sync_interval > 0 {
+            config.sync_interval
         } else {
-            // Phase 1 — every shard runs on its exact `split_evenly` share
-            // (identical under both schedules, so work stealing degenerates
-            // to the deterministic schedule when shards finish evenly).
-            let total = self.config.termination.search_size;
-            for run in &mut runs {
-                run.grant = if total.is_some() {
-                    self.config
-                        .termination
-                        .per_shard_search_size(run.shard, shards)
-                } else {
-                    None
-                };
-                run.live_sync = self.config.sync.is_enabled();
-            }
-            let (mut runs, surplus) = execute_queue(
-                &self.config,
-                runs,
-                None,
-                workers,
-                &evaluator,
-                &global,
-                &stop,
-                start,
-            );
+            u64::MAX
+        };
 
-            // Phase 2 (work stealing only) — leftover budget from shards
-            // that exhausted or declared victory early is pooled in a
-            // shared ledger and stolen by the shards still willing to
-            // search.
-            if self.config.schedule == MapperSchedule::WorkStealing
-                && surplus > 0
-                && !stop.load(Ordering::Relaxed)
-            {
-                let (willing, done): (Vec<ShardRun>, Vec<ShardRun>) = runs
-                    .into_iter()
-                    .partition(|r| r.stop_reason == StopReason::SearchSize);
-                let mut finished = done;
-                if willing.is_empty() {
-                    runs = finished;
+        let mut reports: Vec<Option<ShardReport>> = (0..shards).map(|_| None).collect();
+        loop {
+            let round = run_round(config, live, workers, &evaluator, round_len, &stop, start);
+            // A shard retires when it stopped for any reason other than
+            // exhausting its round grant, or when its share is gone.
+            let halted = stop.load(Ordering::Relaxed);
+            live = Vec::new();
+            for run in round {
+                if halted || run.stop_reason != StopReason::SearchSize || run.remaining == 0 {
+                    let shard = run.shard;
+                    reports[shard] = Some(run.finish());
                 } else {
-                    let ledger = BudgetLedger::new(surplus);
-                    let (stolen, _) = execute_queue(
-                        &self.config,
-                        willing,
-                        Some(&ledger),
-                        workers,
-                        &evaluator,
-                        &global,
-                        &stop,
-                        start,
-                    );
-                    finished.extend(stolen);
-                    runs = finished;
+                    live.push(run);
                 }
             }
-            runs
-        };
-        runs.sort_by_key(|r| r.shard);
+            if live.is_empty() {
+                break;
+            }
 
-        let reports: Vec<ShardReport> = runs.into_iter().map(ShardRun::finish).collect();
+            // Rendezvous: merge every shard's best in shard order and let
+            // each still-live shard apply the policy to the incumbent.
+            let _round_span = track.as_ref().and_then(|t| t.span("mapper.sync_round"));
+            let mut bests: Vec<Option<&(Mapping, Evaluation)>> =
+                reports.iter().map(|r| r.as_ref()?.best.as_ref()).collect();
+            for run in &live {
+                bests[run.shard] = run.best.as_ref();
+            }
+            let mut incumbent = None;
+            for best in bests.into_iter().flatten() {
+                keep_better(&mut incumbent, best);
+            }
+            for run in &mut live {
+                run.sync_point(config, incumbent.as_ref());
+            }
+            static ROUNDS: std::sync::OnceLock<Arc<mm_telemetry::Counter>> =
+                std::sync::OnceLock::new();
+            ROUNDS
+                .get_or_init(|| mm_telemetry::counter("mapper.sync_rounds"))
+                .bump(1);
+            mm_telemetry::event("mapper.sync_round", || {
+                format!(
+                    "live={} incumbent={:?}",
+                    live.len(),
+                    incumbent.as_ref().map(|(_, e)| e.primary())
+                )
+            });
+        }
+        let reports: Vec<ShardReport> = reports.into_iter().flatten().collect();
         drop(run_span);
 
         let wall_time_s = start.elapsed().as_secs_f64();
         let total_evaluations: u64 = reports.iter().map(|r| r.evaluations).sum();
-        // Deterministic merge: shard order, strictly-better-wins.
-        let mut best: Option<(Mapping, Evaluation)> = None;
-        for report in &reports {
-            if let Some((mapping, eval)) = &report.best {
-                let take = match best.as_ref() {
-                    None => true,
-                    Some((_, incumbent)) => eval.better_than(incumbent),
-                };
-                if take {
-                    best = Some((mapping.clone(), eval.clone()));
-                }
-            }
+        let mut best = None;
+        for shard_best in reports.iter().filter_map(|r| r.best.as_ref()) {
+            keep_better(&mut best, shard_best);
         }
-        let (best_mapping, best_metrics) = match best {
-            Some((m, e)) => (Some(m), Some(e)),
-            None => (None, None),
-        };
+        let (best_mapping, best_metrics) = best.unzip();
         // Merge the per-shard convergence curves (shard order, canonical
         // round-robin interleave) when every shard recorded one.
         let convergence = reports
@@ -604,7 +376,7 @@ impl Mapper {
             } else {
                 0.0
             },
-            sync: self.config.sync,
+            sync: config.sync,
             shards: reports,
             convergence,
             telemetry: mm_telemetry::snapshot_if_enabled(),
@@ -612,105 +384,9 @@ impl Mapper {
     }
 }
 
-/// Drive every shard through barrier-synchronized rounds of
-/// `sync_interval` evaluations: run one round of each live shard (on any
-/// number of workers), rendezvous, merge the per-shard bests *in shard
-/// order*, and let each still-live shard apply the [`SyncPolicy`] to the
-/// merged incumbent. Each round's work depends only on shard-local state
-/// and the (deterministic) barrier incumbent, so the resulting reports are
-/// byte-identical across worker counts.
-fn run_barrier_rounds<'a>(
-    config: &MapperConfig,
-    runs: Vec<ShardRun<'a>>,
-    workers: usize,
-    evaluator: &Arc<dyn CostEvaluator>,
-    global: &GlobalBest,
-    stop: &AtomicBool,
-    start: Instant,
-) -> Vec<ShardRun<'a>> {
-    let shards = runs.len();
-    let sync_track = mm_telemetry::span_enabled().then(|| mm_telemetry::track("mapper"));
-    // Remaining reserved share per shard (exact `split_evenly` split).
-    let mut remaining: Vec<u64> = (0..shards)
-        .map(|s| {
-            config
-                .termination
-                .per_shard_search_size(s, shards)
-                .unwrap_or(0)
-        })
-        .collect();
-    let mut retired: Vec<ShardRun<'a>> = Vec::new();
-    let mut live = runs;
-
-    while !live.is_empty() {
-        for run in &mut live {
-            run.grant = Some(remaining[run.shard].min(config.sync_interval));
-        }
-        let (mut round, _) =
-            execute_queue(config, live, None, workers, evaluator, global, stop, start);
-        round.sort_by_key(|r| r.shard);
-
-        // Account the spent budget; a shard retires when it stopped for any
-        // reason other than exhausting its round grant, or when its share
-        // is gone.
-        let mut next_live: Vec<ShardRun<'a>> = Vec::new();
-        for run in round {
-            let spent = run.grant.unwrap_or(0).saturating_sub(run.leftover);
-            remaining[run.shard] = remaining[run.shard].saturating_sub(spent);
-            let done = run.stop_reason != StopReason::SearchSize || remaining[run.shard] == 0;
-            if done {
-                retired.push(run);
-            } else {
-                next_live.push(run);
-            }
-        }
-        if next_live.is_empty() || stop.load(Ordering::Relaxed) {
-            retired.extend(next_live);
-            break;
-        }
-
-        // Barrier: merge all shards' bests in shard order
-        // (strictly-better-wins, so ties resolve to the lowest shard index
-        // — worker-count independent) and deliver the incumbent.
-        let _round_span = sync_track
-            .as_ref()
-            .and_then(|t| t.span("mapper.sync_round"));
-        let mut by_shard: Vec<Option<&(Mapping, Evaluation)>> = vec![None; shards];
-        for run in retired.iter().chain(next_live.iter()) {
-            by_shard[run.shard] = run.best.as_ref();
-        }
-        let mut incumbent: Option<(Mapping, Evaluation)> = None;
-        for best in by_shard.into_iter().flatten() {
-            let take = match incumbent.as_ref() {
-                None => true,
-                Some((_, reigning)) => best.1.better_than(reigning),
-            };
-            if take {
-                incumbent = Some(best.clone());
-            }
-        }
-        for run in &mut next_live {
-            run.sync_point(config, incumbent.as_ref());
-        }
-        static ROUNDS: std::sync::OnceLock<Arc<mm_telemetry::Counter>> = std::sync::OnceLock::new();
-        ROUNDS
-            .get_or_init(|| mm_telemetry::counter("mapper.sync_rounds"))
-            .bump(1);
-        mm_telemetry::event("mapper.sync_round", || {
-            format!(
-                "live={} incumbent={:?}",
-                next_live.len(),
-                incumbent.as_ref().map(|(_, e)| e.primary())
-            )
-        });
-        live = next_live;
-    }
-    retired
-}
-
-/// One shard's live search state, carried across scheduling phases so a
-/// work-stealing continuation resumes the same searcher, RNG stream, trace,
-/// and victory counter exactly where the reserved-budget phase stopped.
+/// One shard's live search state, carried across rounds so every round
+/// resumes the same searcher, RNG stream, trace, and victory counter exactly
+/// where the previous one stopped.
 struct ShardRun<'a> {
     shard: usize,
     space: &'a dyn MapSpaceView,
@@ -722,27 +398,17 @@ struct ShardRun<'a> {
     convergence: Option<ConvergenceTrace>,
     /// This shard's span track (`mapper.shard{N}`), interned only at the
     /// spans level. Only this shard's driving thread touches it, so its
-    /// span sequence is deterministic under the deterministic schedule.
+    /// span sequence is deterministic.
     track: Option<Arc<mm_telemetry::Track>>,
     best: Option<(Mapping, Evaluation)>,
     evaluations: u64,
     since_improvement: u64,
     stop_reason: StopReason,
-    /// Reserved budget this shard could not use (exhausted/victory), to be
-    /// pooled for stealing.
-    leftover: u64,
-    /// Fixed evaluation grant for the next [`drive`](Self::drive) call
-    /// (`None` = unbounded by search size); ignored when driving against a
-    /// work-stealing ledger.
-    grant: Option<u64>,
-    /// Apply the [`SyncPolicy`] against live snapshots of the shared best
-    /// at in-drive sync points (the non-barrier modes).
-    live_sync: bool,
-    /// Total per-shard budget estimate, for the annealed policy's progress.
+    /// Unspent part of this shard's `search_size` share (`u64::MAX` when
+    /// the run is not bounded by a search size).
+    remaining: u64,
+    /// The shard's whole share, for the annealed policy's progress.
     horizon: Option<u64>,
-    /// Stall bookkeeping (consecutive non-improving sync points) consumed
-    /// by [`SyncPolicy::decide`].
-    sync_state: SyncState,
 }
 
 impl<'a> ShardRun<'a> {
@@ -754,19 +420,11 @@ impl<'a> ShardRun<'a> {
         space: &'a dyn MapSpaceView,
         mut searcher: Box<dyn ProposalSearch>,
     ) -> Self {
-        // Horizon estimate for schedule-based searchers (SA cooling): the
-        // exact share under the deterministic schedule, the even-split
-        // estimate under work stealing — scaled to the shard's share of the
-        // space when the shard-aware hint is on (progress accounting for
-        // the sync policy keeps using the raw share).
+        // The exact share doubles as the horizon schedule-based searchers
+        // (SA cooling, GA generations) size themselves with.
         let horizon = config.termination.per_shard_search_size(shard, shards);
-        let begin_horizon = if config.shard_horizon {
-            horizon.map(|h| space.horizon_hint(h))
-        } else {
-            horizon
-        };
-        let mut rng = StdRng::seed_from_u64(shard_seed(config.seed, shard));
-        searcher.begin(space, begin_horizon, &mut rng);
+        let mut rng = StdRng::seed_from_u64(derive_stream_seed(config.seed, shard));
+        searcher.begin(space, horizon, &mut rng);
         let trace = config
             .record_traces
             .then(|| SearchTrace::new(searcher.name()));
@@ -786,62 +444,51 @@ impl<'a> ShardRun<'a> {
             evaluations: 0,
             since_improvement: 0,
             stop_reason: StopReason::SearchSize,
-            leftover: 0,
-            grant: None,
-            live_sync: false,
+            remaining: horizon.unwrap_or(u64::MAX),
             horizon,
-            sync_state: SyncState::new(),
         }
     }
 
-    /// One sync point: update the stall counter, consult the policy, and —
-    /// when it acts — hand the incumbent to the searcher. Consumes only
-    /// shard-local state (plus the incumbent itself), so a driver that
-    /// supplies deterministic incumbents gets deterministic behaviour.
+    /// One sync point: consult the policy and — when it acts — hand the
+    /// incumbent to the searcher. Consumes only shard-local state (plus the
+    /// incumbent itself), so deterministic incumbents give deterministic
+    /// behaviour.
     fn sync_point(&mut self, config: &MapperConfig, incumbent: Option<&(Mapping, Evaluation)>) {
         let Some((mapping, eval)) = incumbent else {
             return;
         };
         let _span = self.track.as_ref().and_then(|t| t.span("shard.sync"));
-        let own = self.best.as_ref().map(|(_, e)| e.primary());
         let progress = match self.horizon {
             Some(0) | None => 0.0,
             Some(h) => self.evaluations as f64 / h as f64,
         };
-        let Some(action) = self
-            .sync_state
-            .decide(&config.sync, own, progress, &mut self.rng)
-        else {
+        let Some(action) = config.sync.decide(progress, &mut self.rng) else {
             return;
         };
         // Adopting your own (or a worse) incumbent is a no-op by intent:
-        // Adopt means "re-anchor on a strictly better peer". Restart fires
-        // regardless — warm-restarting a stalled shard from its own best is
-        // exactly the classic restart heuristic.
+        // Adopt means "re-anchor on a strictly better peer".
         let strictly_better = match self.best.as_ref() {
             None => true,
             Some((_, own_eval)) => eval.better_than(own_eval),
         };
-        if action == SyncAction::Adopt && !strictly_better {
-            return;
+        if strictly_better {
+            self.searcher.observe_global_best(
+                self.space,
+                mapping,
+                eval.primary(),
+                action,
+                &mut self.rng,
+            );
         }
-        self.searcher.observe_global_best(
-            self.space,
-            mapping,
-            eval.primary(),
-            action,
-            &mut self.rng,
-        );
     }
 
-    /// Drive the shard against `budget` until a stop criterion fires:
-    /// propose → evaluate inline → report, with periodic global-best sync.
+    /// Drive the shard for one round of at most `round_len` evaluations (or
+    /// until a stop criterion fires): propose → evaluate inline → report.
     fn drive(
         &mut self,
         config: &MapperConfig,
         evaluator: &Arc<dyn CostEvaluator>,
-        budget: BudgetSource<'_>,
-        global: &GlobalBest,
+        round_len: u64,
         stop: &AtomicBool,
         start: Instant,
     ) {
@@ -849,41 +496,21 @@ impl<'a> ShardRun<'a> {
         // One span per drive call: the shard occupying a worker.
         let _drive_span = self.track.as_ref().and_then(|t| t.span("shard.drive"));
         let mut buf = ProposalBuf::new();
-        // Evaluations this shard may still perform without consulting its
-        // budget source again.
-        let mut granted: u64 = match budget {
-            BudgetSource::Fixed(share) => share.unwrap_or(u64::MAX),
-            BudgetSource::Ledger(_) => 0,
-        };
-        self.leftover = 0;
-        let stop_reason;
+        let grant = self.remaining.min(round_len);
+        let mut granted = grant;
 
-        'search: loop {
+        self.stop_reason = 'search: loop {
             if stop.load(Ordering::Relaxed) {
-                stop_reason = StopReason::GlobalStop;
-                break;
+                break StopReason::GlobalStop;
             }
             if let Some(timeout) = policy.timeout {
                 if start.elapsed() >= timeout {
                     stop.store(true, Ordering::Relaxed);
-                    stop_reason = StopReason::Timeout;
-                    break;
+                    break StopReason::Timeout;
                 }
             }
             if granted == 0 {
-                match budget {
-                    BudgetSource::Fixed(_) => {
-                        stop_reason = StopReason::SearchSize;
-                        break;
-                    }
-                    BudgetSource::Ledger(ledger) => {
-                        granted = ledger.claim(config.batch_size.max(1) as u64);
-                        if granted == 0 {
-                            stop_reason = StopReason::SearchSize;
-                            break;
-                        }
-                    }
-                }
+                break StopReason::SearchSize;
             }
 
             let max = (config.batch_size.max(1) as u64)
@@ -896,8 +523,7 @@ impl<'a> ShardRun<'a> {
                     .propose(self.space, &mut self.rng, max.max(1), &mut buf);
             }
             if buf.is_empty() {
-                stop_reason = StopReason::Exhausted;
-                break;
+                break StopReason::Exhausted;
             }
 
             let _eval_span = self
@@ -908,12 +534,16 @@ impl<'a> ShardRun<'a> {
             // amortizes the evaluator's batched fast path; reports still
             // flow back per mapping, in proposal order.
             let evals = evaluator.evaluate_batch(&buf);
+            // A short batch would silently drop proposals the searcher is
+            // waiting to hear about (the pool workers reject it too).
+            assert!(
+                evals.len() == buf.len(),
+                "{}",
+                short_batch_message(evals.len(), buf.len())
+            );
             for (mapping, eval) in buf.iter().zip(evals) {
                 self.evaluations += 1;
                 granted = granted.saturating_sub(1);
-                if let BudgetSource::Ledger(ledger) = budget {
-                    ledger.consume();
-                }
                 if let Some(trace) = self.trace.as_mut() {
                     trace.record(eval.primary(), mapping, start.elapsed());
                 }
@@ -932,40 +562,14 @@ impl<'a> ShardRun<'a> {
                 }
                 self.searcher.report(mapping, eval.primary(), &mut self.rng);
 
-                if config.sync_interval > 0 && self.evaluations.is_multiple_of(config.sync_interval)
-                {
-                    if let Some((m, e)) = self.best.as_ref() {
-                        global.offer(m, e);
-                    }
-                    if self.live_sync {
-                        // Live mode: apply the policy against a racy
-                        // snapshot of the shared best (work stealing /
-                        // unbounded budgets — not replay-deterministic).
-                        let snapshot = global.snapshot();
-                        self.sync_point(config, snapshot.as_ref());
-                    }
-                }
-
                 if let Some(victory) = policy.victory_condition {
                     if self.since_improvement >= victory {
-                        stop_reason = StopReason::Victory;
-                        break 'search;
+                        break 'search StopReason::Victory;
                     }
                 }
             }
-        }
-
-        // Unused budget: pooled for stealing (fixed shares) or refunded to
-        // the ledger for the other shards still claiming from it.
-        match budget {
-            BudgetSource::Fixed(Some(_)) if granted < u64::MAX => self.leftover = granted,
-            BudgetSource::Ledger(ledger) => ledger.refund(granted),
-            BudgetSource::Fixed(_) => {}
-        }
-        if let Some((m, e)) = self.best.as_ref() {
-            global.offer(m, e);
-        }
-        self.stop_reason = stop_reason;
+        };
+        self.remaining -= grant - granted;
     }
 
     fn finish(self) -> ShardReport {
@@ -980,32 +584,27 @@ impl<'a> ShardRun<'a> {
     }
 }
 
-/// Execute every queued shard run on `workers` threads (each worker pops
-/// the next shard, drives it to a stop, and moves on). Returns the runs
-/// (in completion order — sort by shard index for reporting) and the summed
-/// leftover budget of shards that could not use their fixed share.
-#[allow(clippy::too_many_arguments)]
-fn execute_queue<'a>(
+/// Run one round of every queued shard on `workers` threads (each worker
+/// pops the next shard, drives it through its round, and moves on). Returns
+/// the runs in shard order.
+fn run_round<'a>(
     config: &MapperConfig,
     runs: Vec<ShardRun<'a>>,
-    ledger: Option<&BudgetLedger>,
     workers: usize,
     evaluator: &Arc<dyn CostEvaluator>,
-    global: &GlobalBest,
+    round_len: u64,
     stop: &AtomicBool,
     start: Instant,
-) -> (Vec<ShardRun<'a>>, u64) {
+) -> Vec<ShardRun<'a>> {
     let shards = runs.len();
     let queue: Mutex<VecDeque<ShardRun<'a>>> = Mutex::new(runs.into());
     let done: Mutex<Vec<ShardRun<'a>>> = Mutex::new(Vec::with_capacity(shards));
-    let surplus = AtomicU64::new(0);
 
     std::thread::scope(|scope| {
         let mut handles = Vec::new();
         for _ in 0..workers.min(shards).max(1) {
             let queue = &queue;
             let done = &done;
-            let surplus = &surplus;
             let evaluator = Arc::clone(evaluator);
             handles.push(scope.spawn(move || loop {
                 // Poisoned locks only mean a sibling worker panicked while
@@ -1015,28 +614,22 @@ fn execute_queue<'a>(
                 let Some(mut run) = next else {
                     break;
                 };
-                let budget = match ledger {
-                    Some(ledger) => BudgetSource::Ledger(ledger),
-                    None => BudgetSource::Fixed(run.grant),
-                };
-                run.drive(config, &evaluator, budget, global, stop, start);
-                // Relaxed: `surplus` is an independent tally; the join below
-                // is the synchronization point before it is read.
-                surplus.fetch_add(run.leftover, Ordering::Relaxed);
+                run.drive(config, &evaluator, round_len, stop, start);
                 done.lock().unwrap_or_else(|e| e.into_inner()).push(run);
             }));
         }
         for handle in handles {
-            // mm-lint: allow(panic): re-raising a worker panic on the
-            // driving thread is the correct propagation, not a new failure.
-            handle.join().expect("mapper worker panicked");
+            // Re-raise a worker's panic on the driving thread with its own
+            // message.
+            if let Err(payload) = handle.join() {
+                std::panic::resume_unwind(payload);
+            }
         }
     });
 
-    (
-        done.into_inner().unwrap_or_else(|e| e.into_inner()),
-        surplus.load(Ordering::Relaxed),
-    )
+    let mut runs = done.into_inner().unwrap_or_else(|e| e.into_inner());
+    runs.sort_by_key(|r| r.shard);
+    runs
 }
 
 #[cfg(test)]
@@ -1147,23 +740,7 @@ mod tests {
         }
     }
 
-    #[test]
-    fn work_stealing_spends_the_full_budget() {
-        let (space, evaluator) = setup();
-        let mapper = Mapper::new(MapperConfig {
-            threads: 2,
-            shards: Some(4),
-            schedule: MapperSchedule::WorkStealing,
-            termination: TerminationPolicy::search_size(301),
-            ..MapperConfig::default()
-        });
-        let report = mapper.run(&space, evaluator, |_| Box::new(RandomSearch::new()));
-        assert_eq!(report.total_evaluations, 301, "ledger spends exactly");
-        assert!(report.best_mapping.is_some());
-    }
-
-    /// A proposal-limited searcher: exhausts after `limit` proposals. Under
-    /// work stealing its unused budget must be stolen by other shards.
+    /// A proposal-limited searcher: exhausts after `limit` proposals.
     struct LimitedRandom {
         inner: RandomSearch,
         limit: u64,
@@ -1197,11 +774,18 @@ mod tests {
     }
 
     #[test]
-    fn idle_budget_is_stolen_by_unfinished_shards() {
+    fn an_exhausted_shard_stops_and_the_others_keep_their_share() {
         let (space, evaluator) = setup();
         const TOTAL: u64 = 200;
         const LIMIT: u64 = 20; // shard 0 exhausts at 20 of its 100 share
-        let factory = |s: usize| -> Box<dyn ProposalSearch> {
+        let report = Mapper::new(MapperConfig {
+            threads: 2,
+            shards: Some(2),
+            seed: 11,
+            termination: TerminationPolicy::search_size(TOTAL),
+            ..MapperConfig::default()
+        })
+        .run(&space, evaluator, |s| {
             if s == 0 {
                 Box::new(LimitedRandom {
                     inner: RandomSearch::new(),
@@ -1211,37 +795,43 @@ mod tests {
             } else {
                 Box::new(RandomSearch::new())
             }
-        };
-        let run = |schedule: MapperSchedule| {
-            Mapper::new(MapperConfig {
-                threads: 2,
-                shards: Some(2),
-                schedule,
-                seed: 11,
-                termination: TerminationPolicy::search_size(TOTAL),
-                ..MapperConfig::default()
-            })
-            .run(&space, Arc::clone(&evaluator), factory)
-        };
-        let fixed = run(MapperSchedule::Deterministic);
-        assert_eq!(fixed.shards[0].evaluations, LIMIT);
-        assert_eq!(fixed.shards[0].stop, StopReason::Exhausted);
-        assert_eq!(fixed.total_evaluations, LIMIT + TOTAL / 2);
+        });
+        assert_eq!(report.shards[0].evaluations, LIMIT);
+        assert_eq!(report.shards[0].stop, StopReason::Exhausted);
+        assert_eq!(report.shards[1].stop, StopReason::SearchSize);
+        assert_eq!(report.total_evaluations, LIMIT + TOTAL / 2);
+    }
 
-        let stealing = run(MapperSchedule::WorkStealing);
-        assert_eq!(stealing.shards[0].evaluations, LIMIT);
-        assert_eq!(
-            stealing.total_evaluations, TOTAL,
-            "shard 1 steals shard 0's unused budget"
-        );
-        assert!(stealing.shards[1].evaluations > fixed.shards[1].evaluations);
-        // Shard 1 evaluates a strict superset of its deterministic stream,
-        // so the stolen-budget best can never be worse.
-        assert!(stealing.best_cost() <= fixed.best_cost());
+    /// An evaluator whose `evaluate_batch` override breaks the
+    /// one-result-per-mapping contract.
+    struct ShortBatch;
+
+    impl CostEvaluator for ShortBatch {
+        fn evaluate(&self, _mapping: &Mapping) -> Evaluation {
+            Evaluation::scalar(1.0)
+        }
+        fn evaluate_batch(&self, mappings: &[Mapping]) -> Vec<Evaluation> {
+            mappings.iter().skip(1).map(|m| self.evaluate(m)).collect()
+        }
     }
 
     #[test]
-    fn barrier_synced_runs_spend_exact_budgets_and_stay_deterministic() {
+    #[should_panic(expected = "evaluate_batch returned 0 results for 1 mappings")]
+    fn a_short_evaluate_batch_fails_loudly_instead_of_dropping_proposals() {
+        let (space, _) = setup();
+        // SA proposes one mapping and waits for its report: with the result
+        // dropped it would end as `Exhausted` after 0 evaluations.
+        let _ = Mapper::new(MapperConfig {
+            termination: TerminationPolicy::search_size(10),
+            ..MapperConfig::default()
+        })
+        .run(&space, Arc::new(ShortBatch), |_| {
+            Box::new(SimulatedAnnealing::default())
+        });
+    }
+
+    #[test]
+    fn synced_runs_spend_exact_budgets_and_stay_deterministic() {
         let (space, evaluator) = setup();
         let run = |threads: usize, sync: SyncPolicy| {
             Mapper::new(MapperConfig {
@@ -1259,7 +849,6 @@ mod tests {
         };
         let policies = [
             SyncPolicy::Anchor,
-            SyncPolicy::Restart { patience: 1 },
             SyncPolicy::Annealed {
                 start: 0.9,
                 end: 0.1,
@@ -1305,127 +894,34 @@ mod tests {
         assert!(anchored.canonical_string().starts_with("sync=anchor\n"));
     }
 
+    /// The configuration that read a racy shared best until every run
+    /// became rounds: no `search_size`, a policy on, space shards.
     #[test]
-    fn axis_subsets_restrict_the_partition_and_clamp_capacity() {
+    fn unbounded_synced_runs_are_worker_count_independent() {
         let (space, evaluator) = setup();
-        // conv1d(512, 7) on the example accelerator: d = 2, so the
-        // L2-order-only subset caps at 2 shards while the full product
-        // supports far more.
-        let order_only = vec![ShardAxisKind::OrderL2];
-        let mapper = Mapper::new(MapperConfig {
-            shards: Some(64),
-            shard_space: true,
-            shard_axes: Some(order_only.clone()),
-            ..MapperConfig::default()
-        });
-        assert_eq!(mapper.effective_shards(&space), 2, "2! order prefixes");
-        assert!(
+        let run = |threads: usize| {
             Mapper::new(MapperConfig {
-                shards: Some(64),
-                shard_space: true,
-                ..MapperConfig::default()
-            })
-            .effective_shards(&space)
-                > 2,
-            "the full product supports more shards"
-        );
-        // The restricted run still covers each shard disjointly.
-        let mapper = Mapper::new(MapperConfig {
-            threads: 2,
-            shards: Some(2),
-            shard_space: true,
-            shard_axes: Some(order_only.clone()),
-            termination: TerminationPolicy::search_size(80),
-            ..MapperConfig::default()
-        });
-        let report = mapper.run(&space, evaluator, |_| Box::new(RandomSearch::new()));
-        assert_eq!(report.total_evaluations, 80);
-        for (s, r) in report.shards.iter().enumerate() {
-            let shard = space.shard_with(&order_only, s, 2);
-            let (m, _) = r.best.as_ref().expect("shard found something");
-            assert!(MapSpaceView::is_member(&shard, m));
-        }
-    }
-
-    /// Records the horizon each shard's searcher was begun with.
-    struct HorizonSpy {
-        inner: RandomSearch,
-        seen: Arc<Mutex<Vec<u64>>>,
-    }
-
-    impl ProposalSearch for HorizonSpy {
-        fn name(&self) -> &str {
-            "HorizonSpy"
-        }
-        fn begin(&mut self, space: &dyn MapSpaceView, horizon: Option<u64>, rng: &mut StdRng) {
-            self.seen
-                .lock()
-                .unwrap()
-                .push(horizon.expect("bounded run"));
-            self.inner.begin(space, horizon, rng);
-        }
-        fn propose(
-            &mut self,
-            space: &dyn MapSpaceView,
-            rng: &mut StdRng,
-            max: usize,
-            out: &mut ProposalBuf,
-        ) {
-            self.inner.propose(space, rng, max, out);
-        }
-        fn report(&mut self, mapping: &Mapping, cost: f64, rng: &mut StdRng) {
-            self.inner.report(mapping, cost, rng);
-        }
-    }
-
-    #[test]
-    fn shard_horizon_hint_scales_begin_horizons_and_stays_deterministic() {
-        let (space, evaluator) = setup();
-        let run = |threads: usize, shard_horizon: bool| -> (MapperReport, Vec<u64>) {
-            let seen = Arc::new(Mutex::new(Vec::new()));
-            let report = Mapper::new(MapperConfig {
                 threads,
                 shards: Some(4),
                 shard_space: true,
-                shard_horizon,
-                seed: 23,
-                termination: TerminationPolicy::search_size(240),
+                seed: 13,
+                sync_interval: 16,
+                sync: SyncPolicy::Anchor,
+                termination: TerminationPolicy::default().with_victory_condition(60),
                 ..MapperConfig::default()
             })
             .run(&space, Arc::clone(&evaluator), |_| {
-                Box::new(HorizonSpy {
-                    inner: RandomSearch::new(),
-                    seen: Arc::clone(&seen),
-                })
-            });
-            let mut horizons = seen.lock().unwrap().clone();
-            horizons.sort_unstable();
-            (report, horizons)
+                Box::new(SimulatedAnnealing::default())
+            })
         };
-        let (raw_report, raw) = run(1, false);
-        assert_eq!(raw, vec![60; 4], "un-hinted shards see their exact share");
-        let (hinted_report, hinted) = run(1, true);
-        assert_eq!(hinted_report.total_evaluations, 240, "hint costs no budget");
-        for h in &hinted {
-            assert!(
-                (1..60).contains(h),
-                "hinted horizon must shrink below the raw share, got {h}"
-            );
-        }
-        // The hint is pure shard-local state: replay-deterministic across
-        // worker counts, for the report and the horizons alike.
-        let (hinted_report_3, hinted_3) = run(3, true);
-        assert_eq!(hinted, hinted_3);
-        assert_eq!(
-            hinted_report.canonical_string(),
-            hinted_report_3.canonical_string(),
-            "horizon hints must stay worker-count independent"
+        let one = run(1);
+        assert!(one.shards.iter().all(|s| s.stop == StopReason::Victory));
+        assert!(
+            one.shards.iter().any(|s| s.evaluations > 16),
+            "the run must span several rounds"
         );
-        assert_eq!(
-            raw_report.canonical_string(),
-            hinted_report.canonical_string(),
-            "RandomSearch ignores the horizon, so the stream is unchanged"
-        );
+        assert_eq!(one.canonical_string(), run(2).canonical_string());
+        assert_eq!(one.canonical_string(), run(4).canonical_string());
     }
 
     #[test]
@@ -1544,14 +1040,14 @@ mod tests {
 
     #[test]
     fn shard_seeds_are_distinct_and_stable() {
-        let a: Vec<u64> = (0..8).map(|t| shard_seed(42, t)).collect();
-        let b: Vec<u64> = (0..8).map(|t| shard_seed(42, t)).collect();
+        let a: Vec<u64> = (0..8).map(|t| derive_stream_seed(42, t)).collect();
+        let b: Vec<u64> = (0..8).map(|t| derive_stream_seed(42, t)).collect();
         assert_eq!(a, b);
         let mut dedup = a.clone();
         dedup.sort_unstable();
         dedup.dedup();
         assert_eq!(dedup.len(), 8, "distinct streams per shard");
-        assert_ne!(shard_seed(1, 0), shard_seed(2, 0));
+        assert_ne!(derive_stream_seed(1, 0), derive_stream_seed(2, 0));
     }
 
     #[test]

@@ -78,12 +78,6 @@ impl TerminationPolicy {
     pub fn per_shard_search_size(&self, shard: usize, shards: usize) -> Option<u64> {
         Some(split_evenly(self.search_size?, shard, shards))
     }
-
-    /// Alias of [`per_shard_search_size`](Self::per_shard_search_size) kept
-    /// for callers from before shards were decoupled from threads.
-    pub fn per_thread_search_size(&self, thread: usize, threads: usize) -> Option<u64> {
-        self.per_shard_search_size(thread, threads)
-    }
 }
 
 #[cfg(test)]
@@ -99,7 +93,6 @@ mod tests {
         assert_eq!(shares, vec![3, 3, 2, 2]);
         assert_eq!(shares.iter().sum::<u64>(), 10);
         assert_eq!(p.per_shard_search_size(0, 1), Some(10));
-        assert_eq!(p.per_thread_search_size(1, 4), Some(3), "alias agrees");
     }
 
     /// The split is *exact* for any (total, count): shares sum to the total

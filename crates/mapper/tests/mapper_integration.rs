@@ -6,15 +6,13 @@
 //!   with the same seed and per-thread budget (thread 0's stream is
 //!   identical), so the N-threaded best can never be worse;
 //! * **Orchestration breadth** — every searcher kind (stepwise SA/GA/
-//!   random, thread-bridged DDPG, the mm-core gradient proposer) runs under
-//!   the same driver.
+//!   random/DDPG, the mm-core gradient proposer) runs under the same driver.
 
 use std::sync::Arc;
 
 use mm_accel::{Architecture, CostModel};
 use mm_mapper::{
-    BridgedSearcher, Mapper, MapperConfig, ModelEvaluator, OptMetric, StopReason, SyncPolicy,
-    TerminationPolicy,
+    Mapper, MapperConfig, ModelEvaluator, OptMetric, StopReason, SyncPolicy, TerminationPolicy,
 };
 use mm_mapspace::{MapSpace, ProblemSpec};
 use mm_search::{
@@ -145,34 +143,6 @@ fn more_threads_never_worse_at_iso_per_thread_budget() {
     }
 }
 
-/// The thread-bridged DDPG agent runs under the same parallel driver.
-#[test]
-fn bridged_ddpg_runs_under_the_mapper() {
-    let (space, evaluator) = setup();
-    let mapper = Mapper::new(MapperConfig {
-        threads: 2,
-        seed: 3,
-        termination: TerminationPolicy::search_size(120),
-        ..MapperConfig::default()
-    });
-    let report = mapper.run(&space, evaluator, |_| {
-        Box::new(BridgedSearcher::new(
-            "RL",
-            Box::new(|| {
-                Box::new(DdpgAgent::new(DdpgConfig {
-                    warmup: 8,
-                    batch_size: 4,
-                    ..DdpgConfig::default()
-                }))
-            }),
-        ))
-    });
-    assert_eq!(report.total_evaluations, 120);
-    assert!(report.best_mapping.is_some());
-    assert!(space.is_member(report.best_mapping.as_ref().unwrap()));
-    assert!(report.best_cost().is_finite());
-}
-
 /// Prioritized optimization metrics flow end-to-end: the winning mapping's
 /// metric vector matches a fresh evaluation, in priority order.
 #[test]
@@ -250,12 +220,11 @@ fn gradient_proposer_runs_under_the_mapper() {
     assert!(report.best_cost().is_finite());
 }
 
-/// Acceptance: under the deterministic schedule, the canonical report is
-/// byte-identical across worker counts — on the toy conv1d problem and on
+/// Acceptance: the canonical report is byte-identical across worker counts
+/// — on the toy conv1d problem and on
 /// every Table 1 target — with the map space sharded into disjoint slices.
 #[test]
 fn deterministic_canonical_reports_are_worker_count_independent() {
-    use mm_mapper::MapperSchedule;
     use mm_workloads::{evaluated_accelerator, table1};
 
     let arch = evaluated_accelerator();
@@ -271,7 +240,6 @@ fn deterministic_canonical_reports_are_worker_count_independent() {
                 threads,
                 shards: Some(4),
                 shard_space: true,
-                schedule: MapperSchedule::Deterministic,
                 seed: 17,
                 termination: TerminationPolicy::search_size(160),
                 ..MapperConfig::default()
@@ -290,18 +258,17 @@ fn deterministic_canonical_reports_are_worker_count_independent() {
     }
 }
 
-/// Acceptance: under the deterministic schedule, the canonical report stays
-/// byte-identical across 1/2/4 worker threads for **every** sync policy —
-/// policy-enabled runs exchange incumbents at barrier rounds whose content
-/// is worker-count independent — and this holds both with pure RNG-stream
-/// shards and with the map space itself sharded into disjoint slices.
+/// Acceptance: the canonical report stays byte-identical across 1/2/4
+/// worker threads for **every** sync policy — policy-enabled runs exchange
+/// incumbents between rounds whose content is worker-count independent —
+/// and this holds both with pure RNG-stream shards and with the map space
+/// itself sharded into disjoint slices.
 #[test]
 fn canonical_reports_are_worker_count_independent_under_every_sync_policy() {
     let (space, evaluator) = setup();
     let policies = [
         SyncPolicy::Off,
         SyncPolicy::Anchor,
-        SyncPolicy::Restart { patience: 1 },
         SyncPolicy::Annealed {
             start: 0.9,
             end: 0.1,
@@ -337,11 +304,8 @@ fn canonical_reports_are_worker_count_independent_under_every_sync_policy() {
     }
 }
 
-/// Every stepwise searcher — Random/SA/GA and the now-stepwise DDPG agent
-/// — runs under an enabled sync policy and still spends the exact budget.
-/// (`BridgedSearcher` is the one deliberate exception: a bridged monolithic
-/// searcher has no mid-run steering hook, so its `observe_global_best`
-/// documents itself as a no-op.)
+/// Every stepwise searcher — Random/SA/GA and the DDPG agent — runs under
+/// an enabled sync policy and still spends the exact budget.
 #[test]
 fn sync_policies_drive_every_searcher_kind() {
     let (space, evaluator) = setup();
@@ -364,7 +328,13 @@ fn sync_policies_drive_every_searcher_kind() {
         }),
     ];
     for (name, factory) in factories {
-        for sync in [SyncPolicy::Anchor, SyncPolicy::Restart { patience: 0 }] {
+        for sync in [
+            SyncPolicy::Anchor,
+            SyncPolicy::Annealed {
+                start: 0.9,
+                end: 0.1,
+            },
+        ] {
             let report = Mapper::new(MapperConfig {
                 threads: 2,
                 shards: Some(2),
@@ -380,94 +350,5 @@ fn sync_policies_drive_every_searcher_kind() {
             assert!(space.is_member(best), "{name} under {sync}");
             assert!(report.best_cost().is_finite());
         }
-    }
-}
-
-/// Acceptance: work-stealing reaches the same-or-better best cost than the
-/// deterministic split on conv1d and the Table 1 set when a shard finishes
-/// early (its unused budget is stolen, so the other shards' deterministic
-/// streams are evaluated further — a strict superset of proposals).
-#[test]
-fn work_stealing_is_same_or_better_on_conv1d_and_table1() {
-    use mm_mapper::MapperSchedule;
-    use mm_workloads::{evaluated_accelerator, table1};
-
-    /// Random search that stops proposing after `limit` proposals.
-    struct LimitedRandom {
-        limit: u64,
-        proposed: u64,
-    }
-    impl ProposalSearch for LimitedRandom {
-        fn name(&self) -> &str {
-            "LimitedRandom"
-        }
-        fn begin(
-            &mut self,
-            _space: &dyn mm_mapspace::MapSpaceView,
-            _horizon: Option<u64>,
-            _rng: &mut rand::rngs::StdRng,
-        ) {
-        }
-        fn propose(
-            &mut self,
-            space: &dyn mm_mapspace::MapSpaceView,
-            rng: &mut rand::rngs::StdRng,
-            max: usize,
-            out: &mut mm_search::ProposalBuf,
-        ) {
-            let room = self.limit.saturating_sub(self.proposed).min(max as u64);
-            for _ in 0..room {
-                out.push(space.random_mapping(rng));
-            }
-            self.proposed += room;
-        }
-        fn report(&mut self, _m: &mm_mapspace::Mapping, _c: f64, _rng: &mut rand::rngs::StdRng) {}
-    }
-
-    let arch = evaluated_accelerator();
-    let mut problems = vec![ProblemSpec::conv1d(768, 7)];
-    problems.extend(table1::all_problems().into_iter().map(|t| t.problem));
-    for problem in problems {
-        let space = MapSpace::new(problem.clone(), arch.mapping_constraints());
-        let evaluator: Arc<dyn mm_mapper::CostEvaluator> = Arc::new(ModelEvaluator::edp(
-            CostModel::new(arch.clone(), problem.clone()),
-        ));
-        // Shard 0 exhausts after 10 proposals; shard 1 is unlimited.
-        let factory = |s: usize| -> Box<dyn ProposalSearch> {
-            if s == 0 {
-                Box::new(LimitedRandom {
-                    limit: 10,
-                    proposed: 0,
-                })
-            } else {
-                Box::new(RandomSearch::new())
-            }
-        };
-        let run = |schedule: MapperSchedule| {
-            Mapper::new(MapperConfig {
-                threads: 2,
-                shards: Some(2),
-                schedule,
-                seed: 23,
-                termination: TerminationPolicy::search_size(200),
-                ..MapperConfig::default()
-            })
-            .run(&space, Arc::clone(&evaluator), factory)
-        };
-        let fixed = run(MapperSchedule::Deterministic);
-        let stealing = run(MapperSchedule::WorkStealing);
-        assert_eq!(
-            stealing.total_evaluations, 200,
-            "{}: stealing must spend the whole budget",
-            problem.name
-        );
-        assert!(fixed.total_evaluations < 200);
-        assert!(
-            stealing.best_cost() <= fixed.best_cost(),
-            "{}: stealing best {} worse than deterministic best {}",
-            problem.name,
-            stealing.best_cost(),
-            fixed.best_cost()
-        );
     }
 }

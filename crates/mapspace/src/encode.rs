@@ -75,19 +75,28 @@ impl Encoding {
     /// order; buffer allocations as fractions in `(0, 1]`.
     pub fn encode(&self, problem: &ProblemSpec, m: &Mapping) -> Vec<f32> {
         let mut v = Vec::with_capacity(self.total_len());
-        v.extend(problem.problem_id());
-        self.encode_mapping_into(problem, m, &mut v);
+        self.encode_into(problem, m, &mut v);
         v
+    }
+
+    /// In-place form of [`encode`](Self::encode): `v` is overwritten (its
+    /// allocation reused).
+    // mm-lint: hot-path — one call per gradient-search step.
+    pub fn encode_into(&self, problem: &ProblemSpec, m: &Mapping, v: &mut Vec<f32>) {
+        v.clear();
+        v.extend(problem.dim_sizes.iter().map(|&s| s as f32));
+        self.push_mapping(problem, m, v);
     }
 
     /// Encode only the mapping portion (no problem-id prefix).
     pub fn encode_mapping(&self, problem: &ProblemSpec, m: &Mapping) -> Vec<f32> {
         let mut v = Vec::with_capacity(self.mapping_len());
-        self.encode_mapping_into(problem, m, &mut v);
+        self.push_mapping(problem, m, &mut v);
         v
     }
 
-    fn encode_mapping_into(&self, problem: &ProblemSpec, m: &Mapping, v: &mut Vec<f32>) {
+    /// Append the mapping portion to `v`.
+    fn push_mapping(&self, problem: &ProblemSpec, m: &Mapping, v: &mut Vec<f32>) {
         // Tile factors for L1, L2, DRAM.
         for level in Level::ALL {
             for d in problem.dims() {

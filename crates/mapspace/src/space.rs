@@ -250,21 +250,15 @@ impl MapSpace {
     /// followed by a deterministic capacity repair, so every call returns a
     /// valid mapping.
     pub fn random_mapping<R: Rng + ?Sized>(&self, rng: &mut R) -> Mapping {
-        let mut m = Mapping::minimal(&self.problem);
-        self.sample_into(&mut m, rng);
+        let mut m = Mapping::default();
+        self.random_mapping_into(&mut m, rng);
         m
     }
 
     /// In-place form of [`random_mapping`](Self::random_mapping): rewrites
-    /// `out` to a fresh random valid mapping, reusing its allocations. Draws
-    /// the same RNG stream and produces the same mapping as `random_mapping`.
-    pub fn random_mapping_into<R: Rng + ?Sized>(&self, out: &mut Mapping, rng: &mut R) {
-        out.reset_minimal(&self.problem);
-        self.sample_into(out, rng);
-    }
-
-    /// Shared sampling body: `m` must be in the [`Mapping::minimal`] state.
-    fn sample_into<R: Rng + ?Sized>(&self, m: &mut Mapping, rng: &mut R) {
+    /// `m` to a fresh random valid mapping, reusing its allocations.
+    pub fn random_mapping_into<R: Rng + ?Sized>(&self, m: &mut Mapping, rng: &mut R) {
+        m.reset_minimal(&self.problem);
         let p = &self.problem;
         let d = p.num_dims();
         let t = p.num_tensors();
@@ -555,15 +549,13 @@ impl MapSpace {
     /// programmable attribute (used by Simulated Annealing and as GA's
     /// mutation kernel). The result is always valid.
     pub fn neighbor<R: Rng + ?Sized>(&self, m: &Mapping, rng: &mut R) -> Mapping {
-        let mut out = m.clone();
-        self.mutate_in_place(&mut out, rng);
-        self.repair(&mut out);
+        let mut out = Mapping::default();
+        self.neighbor_into(m, &mut out, rng);
         out
     }
 
     /// In-place form of [`neighbor`](Self::neighbor): rewrites `out` to a
-    /// valid neighbour of `current`, reusing `out`'s allocations. Draws the
-    /// same RNG stream and produces the same mapping as `neighbor`.
+    /// valid neighbour of `current`, reusing `out`'s allocations.
     pub fn neighbor_into<R: Rng + ?Sized>(
         &self,
         current: &Mapping,
@@ -624,40 +616,13 @@ impl MapSpace {
     /// Algorithm baseline): each programmable attribute is inherited from a
     /// randomly chosen parent. The child is repaired to validity.
     pub fn crossover<R: Rng + ?Sized>(&self, a: &Mapping, b: &Mapping, rng: &mut R) -> Mapping {
-        let p = &self.problem;
-        let d = p.num_dims();
-        let t = p.num_tensors();
-        let mut child = a.clone();
-        for dim in 0..d {
-            if rng.gen_bool(0.5) {
-                child.tiles[0][dim] = b.tiles[0][dim];
-            }
-            if rng.gen_bool(0.5) {
-                child.tiles[1][dim] = b.tiles[1][dim];
-            }
-            if rng.gen_bool(0.5) {
-                child.parallel[dim] = b.parallel[dim];
-            }
-        }
-        for lv in 0..ORDER_LEVELS {
-            if rng.gen_bool(0.5) {
-                child.loop_orders[lv] = b.loop_orders[lv].clone();
-            }
-        }
-        for lv in 0..ONCHIP_LEVELS {
-            for ti in 0..t {
-                if rng.gen_bool(0.5) {
-                    child.buffer_alloc[lv][ti] = b.buffer_alloc[lv][ti];
-                }
-            }
-        }
-        self.repair(&mut child);
+        let mut child = Mapping::default();
+        self.crossover_into(a, b, &mut child, rng);
         child
     }
 
     /// In-place form of [`crossover`](Self::crossover): writes the child into
-    /// `out`, reusing its existing allocations. Draws from `rng` in exactly
-    /// the same order, so with equal RNG state the child is identical.
+    /// `out`, reusing its existing allocations.
     // mm-lint: hot-path — the steady-state eval loop must not allocate.
     pub fn crossover_into<R: Rng + ?Sized>(
         &self,

@@ -34,8 +34,7 @@
 //! last bucket, keeping the digit function total). [`MapSpace::shard_capacity`]
 //! is the *product* of the axis cardinalities (`d!·d!·P·size`), so the
 //! useful shard count grows multiplicatively instead of being throttled by
-//! a single axis on small-`d!` problems. [`MapSpace::shard_with`] restricts
-//! the product to a chosen subset of axes.
+//! a single axis on small-`d!` problems.
 
 use std::sync::{Arc, OnceLock};
 
@@ -74,9 +73,8 @@ const L2_ORDER_LEVEL: usize = 1;
 /// space" and "one shard of it".
 ///
 /// Object-safe (`&dyn MapSpaceView`) so heterogeneous drivers — the
-/// sequential `drive` loop, the pipelined pool driver, the multi-shard
-/// `Mapper`, the serve scheduler — can hold any view behind one pointer.
-/// [`MapSpace`] implements it by delegation; [`ShardedMapSpace`] implements
+/// sequential `drive` loop, the multi-shard `Mapper`, the serve scheduler —
+/// can hold any view behind one pointer. [`MapSpace`] implements it by delegation; [`ShardedMapSpace`] implements
 /// it with the shard constraint enforced after every operation.
 pub trait MapSpaceView: Send + Sync {
     /// The problem this view's mappings target.
@@ -85,41 +83,44 @@ pub trait MapSpaceView: Send + Sync {
     /// The accelerator constraints.
     fn constraints(&self) -> &MappingConstraints;
 
-    /// Draw a random *valid* mapping belonging to this view.
-    fn random_mapping(&self, rng: &mut dyn RngCore) -> Mapping;
+    /// Rewrite `out` to a fresh random *valid* mapping belonging to this
+    /// view, reusing its allocations.
+    fn random_mapping_into(&self, out: &mut Mapping, rng: &mut dyn RngCore);
 
-    /// In-place form of [`random_mapping`](Self::random_mapping): rewrite
-    /// `out` to a fresh random valid mapping, reusing its allocations.
-    /// Draws the same RNG stream and produces the same mapping.
-    ///
-    /// The default forwards to the allocating form; concrete views override
-    /// it with a genuinely allocation-free implementation.
-    fn random_mapping_into(&self, out: &mut Mapping, rng: &mut dyn RngCore) {
-        *out = self.random_mapping(rng);
+    /// Allocating form of [`random_mapping_into`](Self::random_mapping_into):
+    /// same RNG stream, same mapping.
+    fn random_mapping(&self, rng: &mut dyn RngCore) -> Mapping {
+        let mut out = Mapping::default();
+        self.random_mapping_into(&mut out, rng);
+        out
     }
 
-    /// A valid neighbouring mapping of `m` within this view.
-    fn neighbor(&self, m: &Mapping, rng: &mut dyn RngCore) -> Mapping;
+    /// Rewrite `out` to a valid neighbour of `current` within this view,
+    /// reusing `out`'s allocations.
+    fn neighbor_into(&self, current: &Mapping, out: &mut Mapping, rng: &mut dyn RngCore);
 
-    /// In-place form of [`neighbor`](Self::neighbor): rewrite `out` to a
-    /// valid neighbour of `current`, reusing `out`'s allocations. Draws the
-    /// same RNG stream and produces the same mapping.
-    fn neighbor_into(&self, current: &Mapping, out: &mut Mapping, rng: &mut dyn RngCore) {
-        *out = self.neighbor(current, rng);
+    /// Allocating form of [`neighbor_into`](Self::neighbor_into): same RNG
+    /// stream, same mapping.
+    fn neighbor(&self, m: &Mapping, rng: &mut dyn RngCore) -> Mapping {
+        let mut out = Mapping::default();
+        self.neighbor_into(m, &mut out, rng);
+        out
     }
 
     /// Mutate one attribute in place (may leave the mapping invalid until
     /// [`repair`](Self::repair) is called).
     fn mutate_in_place(&self, m: &mut Mapping, rng: &mut dyn RngCore);
 
-    /// Uniform crossover of two parents; the child is valid and in-view.
-    fn crossover(&self, a: &Mapping, b: &Mapping, rng: &mut dyn RngCore) -> Mapping;
+    /// Uniform crossover of two parents, written into `out` (reusing its
+    /// allocations); the child is valid and in-view.
+    fn crossover_into(&self, a: &Mapping, b: &Mapping, out: &mut Mapping, rng: &mut dyn RngCore);
 
-    /// In-place form of [`crossover`](Self::crossover): write the child into
-    /// `out`, reusing its allocations. Draws the same RNG stream and
-    /// produces the same child.
-    fn crossover_into(&self, a: &Mapping, b: &Mapping, out: &mut Mapping, rng: &mut dyn RngCore) {
-        *out = self.crossover(a, b, rng);
+    /// Allocating form of [`crossover_into`](Self::crossover_into): same
+    /// RNG stream, same child.
+    fn crossover(&self, a: &Mapping, b: &Mapping, rng: &mut dyn RngCore) -> Mapping {
+        let mut out = Mapping::default();
+        self.crossover_into(a, b, &mut out, rng);
+        out
     }
 
     /// Deterministically repair `m` to validity *within this view*.
@@ -154,20 +155,6 @@ pub trait MapSpaceView: Send + Sync {
         None
     }
 
-    /// Shard-aware schedule-horizon hint: how many of `budget` evaluations
-    /// a schedule-based searcher (SA cooling, GA generations, annealed
-    /// injection) should stretch its schedule over.
-    ///
-    /// The full space returns `budget` unchanged. A shard scales the budget
-    /// by its share of the full space's log-magnitude
-    /// (`log10|shard| / log10|space|`, clamped to `[0.25, 1]`), so a
-    /// searcher confined to a slice stops tuning its cooling/generation
-    /// horizon as if it owned the whole space — the tail of the budget is
-    /// spent exploiting the (smaller) slice instead.
-    fn horizon_hint(&self, budget: u64) -> u64 {
-        budget
-    }
-
     /// Clone this view behind a fresh box (object-safe `Clone`).
     fn clone_view(&self) -> Box<dyn MapSpaceView>;
 }
@@ -181,16 +168,8 @@ impl MapSpaceView for MapSpace {
         MapSpace::constraints(self)
     }
 
-    fn random_mapping(&self, rng: &mut dyn RngCore) -> Mapping {
-        MapSpace::random_mapping(self, rng)
-    }
-
     fn random_mapping_into(&self, out: &mut Mapping, rng: &mut dyn RngCore) {
         MapSpace::random_mapping_into(self, out, rng);
-    }
-
-    fn neighbor(&self, m: &Mapping, rng: &mut dyn RngCore) -> Mapping {
-        MapSpace::neighbor(self, m, rng)
     }
 
     fn neighbor_into(&self, current: &Mapping, out: &mut Mapping, rng: &mut dyn RngCore) {
@@ -199,10 +178,6 @@ impl MapSpaceView for MapSpace {
 
     fn mutate_in_place(&self, m: &mut Mapping, rng: &mut dyn RngCore) {
         MapSpace::mutate_in_place(self, m, rng);
-    }
-
-    fn crossover(&self, a: &Mapping, b: &Mapping, rng: &mut dyn RngCore) -> Mapping {
-        MapSpace::crossover(self, a, b, rng)
     }
 
     fn crossover_into(&self, a: &Mapping, b: &Mapping, out: &mut Mapping, rng: &mut dyn RngCore) {
@@ -234,9 +209,8 @@ impl MapSpaceView for MapSpace {
     }
 }
 
-/// The discrete axes a shard partition can restrict (see the
-/// [module docs](self)); [`MapSpace::shard_with`] takes a subset, and
-/// [`MapSpace::shard`] uses [`ShardAxisKind::ALL`].
+/// The discrete axes a shard partition restricts (see the
+/// [module docs](self)): what [`ShardAxis::kind`] reports.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShardAxisKind {
     /// Lexicographic rank of the L2 temporal loop order (`d!` values).
@@ -247,16 +221,6 @@ pub enum ShardAxisKind {
     Parallel,
     /// L2 tile extent of the largest problem dimension.
     Tile,
-}
-
-impl ShardAxisKind {
-    /// Every axis, in canonical significance order (most significant first).
-    pub const ALL: [ShardAxisKind; 4] = [
-        ShardAxisKind::OrderL2,
-        ShardAxisKind::OrderL1,
-        ShardAxisKind::Parallel,
-        ShardAxisKind::Tile,
-    ];
 }
 
 /// One concrete axis of a shard partition's mixed-radix product.
@@ -343,9 +307,8 @@ impl ShardAxis {
 /// One shard of a [`MapSpace`]: the subset of mappings whose combined
 /// mixed-radix rank (see [module docs](self)) falls in `[lo, hi)`.
 ///
-/// Produced by [`MapSpace::shard`] / [`MapSpace::shard_with`]; the `n`
-/// shards of one space are pairwise disjoint and jointly cover the full
-/// space.
+/// Produced by [`MapSpace::shard`]; the `n` shards of one space are
+/// pairwise disjoint and jointly cover the full space.
 #[derive(Debug, Clone)]
 pub struct ShardedMapSpace {
     base: MapSpace,
@@ -362,41 +325,24 @@ pub struct ShardedMapSpace {
 }
 
 impl MapSpace {
-    /// The full mixed-radix axis product [`shard`](Self::shard) partitions:
-    /// every [`ShardAxisKind`] whose cardinality on this space is at least 2,
-    /// in canonical significance order.
+    /// The mixed-radix axis product [`shard`](Self::shard) partitions: every
+    /// [`ShardAxisKind`] whose cardinality on this space is at least 2, in
+    /// canonical significance order.
     pub fn axis_product(&self) -> Vec<ShardAxis> {
-        self.axis_product_for(&ShardAxisKind::ALL)
-    }
-
-    /// The axis product restricted to `kinds` (order and duplicates in
-    /// `kinds` are ignored — axes always appear in canonical significance
-    /// order, and axes with fewer than 2 values on this space are dropped).
-    pub fn axis_product_for(&self, kinds: &[ShardAxisKind]) -> Vec<ShardAxis> {
         let d = self.problem().num_dims();
         let perms = factorial(d);
         let (tile_dim, raw_tile_size) = largest_dim(self.problem());
         let tile_size = self.satisfiable_tile_extent(tile_dim, raw_tile_size);
-        let has = |k: ShardAxisKind| kinds.contains(&k);
         let mut axes = Vec::new();
-        if has(ShardAxisKind::OrderL2) && perms >= 2 {
-            axes.push(ShardAxis::OrderPrefix {
-                level: L2_ORDER_LEVEL,
-                perms,
-            });
-        }
-        if has(ShardAxisKind::OrderL1) && perms >= 2 {
-            axes.push(ShardAxis::OrderPrefix {
-                level: L1_ORDER_LEVEL,
-                perms,
-            });
-        }
-        if has(ShardAxisKind::Parallel) {
-            if let Some((dim, extent)) = self.parallel_axis(tile_dim, tile_size) {
-                axes.push(ShardAxis::ParallelSplit { dim, extent });
+        if perms >= 2 {
+            for level in [L2_ORDER_LEVEL, L1_ORDER_LEVEL] {
+                axes.push(ShardAxis::OrderPrefix { level, perms });
             }
         }
-        if has(ShardAxisKind::Tile) && tile_size >= 2 {
+        if let Some((dim, extent)) = self.parallel_axis(tile_dim, tile_size) {
+            axes.push(ShardAxis::ParallelSplit { dim, extent });
+        }
+        if tile_size >= 2 {
             axes.push(ShardAxis::TilePrefix {
                 dim: tile_dim,
                 extent: tile_size,
@@ -461,14 +407,7 @@ impl MapSpace {
     /// space: the product of every axis cardinality (`d!·d!·P·size`, see the
     /// [module docs](self)).
     pub fn shard_capacity(&self) -> u128 {
-        self.shard_capacity_for(&ShardAxisKind::ALL)
-    }
-
-    /// The largest shard count [`shard_with`](Self::shard_with) supports for
-    /// the given axis subset. Monotone in the subset: adding an axis kind
-    /// never decreases capacity.
-    pub fn shard_capacity_for(&self, kinds: &[ShardAxisKind]) -> u128 {
-        self.axis_product_for(kinds)
+        self.axis_product()
             .iter()
             .fold(1u128, |acc, a| acc.saturating_mul(a.cardinality()))
     }
@@ -477,52 +416,28 @@ impl MapSpace {
     /// `[1, shard_capacity()]` — the one idiom every shard-count knob
     /// (mapper, serve, Phase 2) funnels through before calling `shard`.
     pub fn clamp_shard_count(&self, count: usize) -> usize {
-        self.clamp_shard_count_for(&ShardAxisKind::ALL, count)
-    }
-
-    /// [`clamp_shard_count`](Self::clamp_shard_count) against the capacity
-    /// of the given axis subset.
-    pub fn clamp_shard_count_for(&self, kinds: &[ShardAxisKind], count: usize) -> usize {
-        usize::try_from(self.shard_capacity_for(kinds).min(count.max(1) as u128))
-            .unwrap_or(count.max(1))
+        usize::try_from(self.shard_capacity().min(count.max(1) as u128)).unwrap_or(count.max(1))
     }
 
     /// Shard `index` of a partition of this space into `count`
-    /// pairwise-disjoint, jointly-covering subspaces over the full axis
-    /// product (see the [module docs](self)).
+    /// pairwise-disjoint, jointly-covering subspaces over the axis product
+    /// (see the [module docs](self)).
     ///
     /// # Panics
     ///
     /// Panics if `count` is zero, `index >= count`, or `count` exceeds
     /// [`shard_capacity`](Self::shard_capacity).
     pub fn shard(&self, index: usize, count: usize) -> ShardedMapSpace {
-        self.shard_with(&ShardAxisKind::ALL, index, count)
-    }
-
-    /// Like [`shard`](Self::shard), but partitioning only the given subset
-    /// of axes (`count` bounded by
-    /// [`shard_capacity_for`](Self::shard_capacity_for)).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `count` is zero, `index >= count`, or `count` exceeds the
-    /// subset's capacity.
-    pub fn shard_with(
-        &self,
-        kinds: &[ShardAxisKind],
-        index: usize,
-        count: usize,
-    ) -> ShardedMapSpace {
         assert!(count > 0, "shard count must be positive");
         assert!(index < count, "shard index {index} out of range 0..{count}");
-        let axes = self.axis_product_for(kinds);
+        let axes = self.axis_product();
         let total = axes
             .iter()
             .fold(1u128, |acc, a| acc.saturating_mul(a.cardinality()));
         assert!(
             count as u128 <= total,
             "shard count {count} exceeds the axis-product cardinality {total} \
-             (= shard_capacity for these axes)"
+             (= shard_capacity)"
         );
         let mut strides = vec![1u128; axes.len()];
         for i in (0..axes.len().saturating_sub(1)).rev() {
@@ -986,27 +901,11 @@ impl MapSpaceView for ShardedMapSpace {
         MapSpace::constraints(&self.base)
     }
 
-    fn random_mapping(&self, rng: &mut dyn RngCore) -> Mapping {
-        let mut m = MapSpace::random_mapping(&self.base, rng);
+    fn random_mapping_into(&self, out: &mut Mapping, rng: &mut dyn RngCore) {
+        MapSpace::random_mapping_into(&self.base, out, rng);
         // Re-sample only the axes this shard actually restricts (keeping
         // the base distribution elsewhere), then restore validity (forcing
         // the capacity refit when the sampler moved parallelism/tiles).
-        let touched = self.sample_in_interval(&mut m, rng);
-        self.pin_and_fix_impl(&mut m, touched);
-        debug_assert!(
-            self.is_member(&m),
-            "{:?}\naxes={:?} lo={} hi={}\nmapping={:?}",
-            self.validate(&m),
-            self.axes,
-            self.lo,
-            self.hi,
-            m
-        );
-        m
-    }
-
-    fn random_mapping_into(&self, out: &mut Mapping, rng: &mut dyn RngCore) {
-        MapSpace::random_mapping_into(&self.base, out, rng);
         let touched = self.sample_in_interval(out, rng);
         self.pin_and_fix_impl(out, touched);
         debug_assert!(
@@ -1020,13 +919,6 @@ impl MapSpaceView for ShardedMapSpace {
         );
     }
 
-    fn neighbor(&self, m: &Mapping, rng: &mut dyn RngCore) -> Mapping {
-        let mut out = m.clone();
-        MapSpace::mutate_in_place(&self.base, &mut out, rng);
-        self.repair(&mut out);
-        out
-    }
-
     fn neighbor_into(&self, current: &Mapping, out: &mut Mapping, rng: &mut dyn RngCore) {
         out.clone_from(current);
         MapSpace::mutate_in_place(&self.base, out, rng);
@@ -1035,13 +927,6 @@ impl MapSpaceView for ShardedMapSpace {
 
     fn mutate_in_place(&self, m: &mut Mapping, rng: &mut dyn RngCore) {
         MapSpace::mutate_in_place(&self.base, m, rng);
-    }
-
-    fn crossover(&self, a: &Mapping, b: &Mapping, rng: &mut dyn RngCore) -> Mapping {
-        let mut child = MapSpace::crossover(&self.base, a, b, rng);
-        self.pin_and_fix(&mut child);
-        debug_assert!(self.is_member(&child), "{:?}", self.validate(&child));
-        child
     }
 
     fn crossover_into(&self, a: &Mapping, b: &Mapping, out: &mut Mapping, rng: &mut dyn RngCore) {
@@ -1087,15 +972,6 @@ impl MapSpaceView for ShardedMapSpace {
 
     fn shard_info(&self) -> Option<(usize, usize)> {
         Some((self.index, self.count))
-    }
-
-    fn horizon_hint(&self, budget: u64) -> u64 {
-        if self.count <= 1 || budget == 0 {
-            return budget;
-        }
-        let full = MapSpace::log10_size_estimate(&self.base).max(1.0);
-        let scale = ((full - (self.count as f64).log10()) / full).clamp(0.25, 1.0);
-        ((budget as f64 * scale).round() as u64).max(1)
     }
 
     fn clone_view(&self) -> Box<dyn MapSpaceView> {
@@ -1185,21 +1061,14 @@ mod tests {
         // 2! · 2! · 7 · 122 — multiplicative, not the PR 3 single-axis
         // d!·largest_dim = 244.
         assert_eq!(s.shard_capacity(), 2 * 2 * 7 * 122);
-        // Subsets multiply their own factors and stay monotone.
-        assert_eq!(s.shard_capacity_for(&[ShardAxisKind::OrderL2]), 2);
-        assert_eq!(
-            s.shard_capacity_for(&[ShardAxisKind::OrderL2, ShardAxisKind::Tile]),
-            2 * 122
-        );
-        assert_eq!(s.shard_capacity_for(&[ShardAxisKind::Parallel]), 7);
-        assert!(s.shard_capacity_for(&[]) == 1);
     }
 
     #[test]
     fn order_prefix_shards_partition_the_permutations() {
         let s = space();
-        let a = s.shard_with(&[ShardAxisKind::OrderL2], 0, 2);
-        let b = s.shard_with(&[ShardAxisKind::OrderL2], 1, 2);
+        // Two shards cut the leading (L2 loop-order) axis only.
+        let a = s.shard(0, 2);
+        let b = s.shard(1, 2);
         let mut rng = StdRng::seed_from_u64(1);
         for _ in 0..50 {
             let m = MapSpace::random_mapping(&s, &mut rng);
@@ -1285,21 +1154,6 @@ mod tests {
         assert!(sh.log10_size_estimate() < MapSpaceView::log10_size_estimate(&s));
         assert!(!sh.axis_description().is_empty());
         assert_eq!(sh.axes().len(), 4);
-    }
-
-    #[test]
-    fn horizon_hint_scales_with_shard_count() {
-        let s = space();
-        assert_eq!(MapSpaceView::horizon_hint(&s, 1000), 1000, "full space");
-        let sh2 = s.shard(0, 2);
-        let sh64 = s.shard(0, 64);
-        let h2 = sh2.horizon_hint(1000);
-        let h64 = sh64.horizon_hint(1000);
-        assert!(h2 < 1000, "a shard shortens the schedule horizon");
-        assert!(h64 < h2, "more shards shorten it further");
-        assert!(h64 >= 250, "the hint never drops below a quarter");
-        assert_eq!(sh64.horizon_hint(0), 0);
-        assert_eq!(s.shard(0, 1).horizon_hint(77), 77, "1 shard = full space");
     }
 
     #[test]

@@ -2,26 +2,10 @@
 //! problems and constraints (not just the paper's workloads).
 
 use mm_mapspace::problem::{DimId, ProblemSpec, TensorDim, TensorKind, TensorSpec};
-use mm_mapspace::{Encoding, MapSpace, Mapping, MappingConstraints, ShardAxisKind};
+use mm_mapspace::{Encoding, MapSpace, Mapping, MappingConstraints};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-
-/// Every non-empty subset of the shard-axis kinds (15 combinations), so the
-/// partition invariants are proven for each axis alone *and* for every way
-/// the mixed-radix product can be composed.
-fn axis_subsets() -> Vec<Vec<ShardAxisKind>> {
-    let all = ShardAxisKind::ALL;
-    (1u32..(1 << all.len()))
-        .map(|mask| {
-            all.iter()
-                .enumerate()
-                .filter(|(i, _)| mask & (1 << i) != 0)
-                .map(|(_, k)| *k)
-                .collect()
-        })
-        .collect()
-}
 
 /// Build a random matrix-multiply-like problem: O[i,j] = Σ_k A[i,k] · B[k,j].
 fn matmul_problem(i: u64, j: u64, k: u64) -> ProblemSpec {
@@ -221,99 +205,5 @@ proptest! {
         let noise: Vec<f32> = (0..enc.mapping_len()).map(|_| rng.gen_range(-40.0..400.0)).collect();
         let projected = MapSpaceView::project(&shard, &noise).unwrap();
         prop_assert!(shard.is_member(&projected), "{:?}", shard.validate(&projected));
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases_env(12))]
-
-    /// Disjointness and coverage hold for **every** axis combination of the
-    /// mixed-radix product, not just the full default: for each of the 15
-    /// non-empty [`ShardAxisKind`] subsets, every full-space sample lands in
-    /// exactly one shard, and every shard's own samples (and local moves)
-    /// stay inside that shard and the base space.
-    #[test]
-    fn every_axis_combination_partitions_the_space(
-        seed in 0u64..u64::MAX,
-        i in 1u64..256,
-        j in 1u64..256,
-        k in 1u64..256,
-        n in 1usize..=6,
-    ) {
-        use mm_mapspace::MapSpaceView;
-
-        let problem = matmul_problem(i, j, k);
-        let space = MapSpace::new(problem, MappingConstraints::example());
-        let mut rng = StdRng::seed_from_u64(seed);
-
-        for kinds in axis_subsets() {
-            let n = (n as u128).min(space.shard_capacity_for(&kinds)).max(1) as usize;
-            let shards: Vec<_> = (0..n).map(|s| space.shard_with(&kinds, s, n)).collect();
-
-            // Jointly covering + pairwise disjoint over full-space samples.
-            for _ in 0..3 {
-                let m = space.random_mapping(&mut rng);
-                let owners = shards.iter().filter(|sh| sh.is_member(&m)).count();
-                prop_assert_eq!(
-                    owners, 1,
-                    "axes {:?}: full-space mapping must land in exactly one of {} shards",
-                    kinds, n
-                );
-            }
-
-            // Shard ops never escape their slice.
-            for (s, shard) in shards.iter().enumerate() {
-                let m = shard.random_mapping(&mut rng);
-                prop_assert!(shard.is_member(&m), "axes {:?} shard {}: {:?}", kinds, s, shard.validate(&m));
-                prop_assert!(space.is_member(&m), "axes {:?} shard {}: sample invalid in base", kinds, s);
-                for (o, other) in shards.iter().enumerate() {
-                    if o != s {
-                        prop_assert!(!other.is_member(&m), "axes {:?}: shard {} sample claimed by {}", kinds, s, o);
-                    }
-                }
-                let nb = shard.neighbor(&m, &mut rng);
-                prop_assert!(shard.is_member(&nb), "axes {:?} shard {}: neighbor escaped: {:?}", kinds, s, shard.validate(&nb));
-                let child = shard.crossover(&m, &nb, &mut rng);
-                prop_assert!(shard.is_member(&child), "axes {:?} shard {}: crossover escaped", kinds, s);
-            }
-        }
-    }
-
-    /// `shard_capacity_for` is monotone in the axis product: adding any
-    /// axis kind to any subset never decreases capacity, every subset's
-    /// capacity divides into the full product's, and the full product's
-    /// capacity is the elementwise product of the single-axis capacities.
-    #[test]
-    fn shard_capacity_is_monotone_in_the_axis_product(
-        i in 1u64..400,
-        j in 1u64..400,
-        k in 1u64..400,
-        pes in 1u64..64,
-    ) {
-        let problem = matmul_problem(i, j, k);
-        let space = MapSpace::new(problem, constraints(pes, 1024, 16 * 1024));
-        for kinds in axis_subsets() {
-            let cap = space.shard_capacity_for(&kinds);
-            prop_assert!(cap >= 1);
-            prop_assert!(cap <= space.shard_capacity(), "subset {:?} exceeds the full product", kinds);
-            for extra in ShardAxisKind::ALL {
-                if kinds.contains(&extra) {
-                    continue;
-                }
-                let mut bigger = kinds.clone();
-                bigger.push(extra);
-                prop_assert!(
-                    space.shard_capacity_for(&bigger) >= cap,
-                    "adding {:?} to {:?} shrank capacity",
-                    extra, kinds
-                );
-            }
-        }
-        // The full product is exactly the product of its single axes.
-        let product: u128 = ShardAxisKind::ALL
-            .iter()
-            .map(|k| space.shard_capacity_for(&[*k]))
-            .product();
-        prop_assert_eq!(space.shard_capacity(), product);
     }
 }

@@ -13,10 +13,7 @@
 //!
 //! Under a [`SyncPolicy`](crate::SyncPolicy), [`SyncAction::Adopt`] moves
 //! the walk's current point to the shared incumbent when that improves it
-//! (classic SA re-anchoring), and [`SyncAction::Restart`] performs a *warm
-//! restart*: current point to the incumbent **and** the cooling schedule
-//! reinstalled from the initial temperature over the remaining horizon, so
-//! a stalled walk regains the mobility to escape the incumbent's basin.
+//! (classic SA re-anchoring); the cooling schedule is left alone.
 
 use mm_mapspace::{MapSpaceView, Mapping};
 use rand::rngs::StdRng;
@@ -75,9 +72,6 @@ struct SaState {
     /// Whether a proposal is in flight (lookahead is 1).
     outstanding: bool,
     temperature: f64,
-    /// The initial temperature the schedule was installed with (0 until
-    /// known); warm restarts reinstall from it.
-    t0: f64,
     t_final: f64,
     alpha: f64,
     moves_at_temperature: u64,
@@ -109,7 +103,6 @@ impl SimulatedAnnealing {
         let t_final = (t0 * self.config.final_temperature_fraction).max(1e-300);
         let remaining = state.horizon.saturating_sub(state.reports).max(1);
         let steps = (remaining / self.config.moves_per_temperature.max(1)).max(1);
-        state.t0 = t0;
         state.temperature = t0;
         state.t_final = t_final;
         state.alpha = (t_final / t0).powf(1.0 / steps as f64);
@@ -135,7 +128,6 @@ impl ProposalSearch for SimulatedAnnealing {
             current: None,
             outstanding: false,
             temperature: 0.0,
-            t0: 0.0,
             t_final: 0.0,
             alpha: 1.0,
             moves_at_temperature: 0,
@@ -224,39 +216,24 @@ impl ProposalSearch for SimulatedAnnealing {
     }
 
     /// [`SyncAction::Adopt`] re-anchors the walk on the incumbent when that
-    /// improves the current point; [`SyncAction::Restart`] re-anchors
-    /// unconditionally *and* reinstalls the cooling schedule from the
-    /// initial temperature over the remaining horizon (warm restart).
+    /// improves the current point.
     fn observe_global_best(
         &mut self,
         _space: &dyn MapSpaceView,
         mapping: &Mapping,
         cost: f64,
-        action: SyncAction,
+        _action: SyncAction,
         _rng: &mut StdRng,
     ) {
         let Some(state) = self.state.as_mut() else {
             return;
         };
-        match action {
-            SyncAction::Adopt => {
-                let improves = match &state.current {
-                    None => true,
-                    Some((_, current_cost)) => cost < *current_cost,
-                };
-                if improves {
-                    state.current = Some((mapping.clone(), cost));
-                }
-            }
-            SyncAction::Restart => {
-                state.current = Some((mapping.clone(), cost));
-                let t0 = state.t0;
-                // Before the schedule exists (init/probe phases) there is
-                // nothing to reheat; the anchor alone suffices.
-                if t0 > 0.0 && state.phase == Phase::Anneal {
-                    self.install_schedule(t0);
-                }
-            }
+        let improves = match &state.current {
+            None => true,
+            Some((_, current_cost)) => cost < *current_cost,
+        };
+        if improves {
+            state.current = Some((mapping.clone(), cost));
         }
     }
 }
@@ -330,7 +307,7 @@ mod tests {
     }
 
     #[test]
-    fn restart_reheats_the_schedule_and_adopt_improves_the_anchor() {
+    fn adopt_improves_the_anchor_and_never_reheats() {
         let (space, _) = setup();
         let mut rng = StdRng::seed_from_u64(5);
         let mut sa = SimulatedAnnealing::new(AnnealingConfig {
@@ -364,12 +341,6 @@ mod tests {
             (state.temperature - cooled).abs() < 1e-12,
             "adopt never reheats"
         );
-
-        // Restart: re-anchor and reheat to t0.
-        sa.observe_global_best(&space, &incumbent, 0.4, SyncAction::Restart, &mut rng);
-        let state = sa.state.as_ref().unwrap();
-        assert_eq!(state.current.as_ref().unwrap().1, 0.4);
-        assert_eq!(state.temperature, 4.0, "warm restart reheats to t0");
     }
 
     #[test]

@@ -11,10 +11,7 @@
 //!
 //! Under a [`SyncPolicy`](crate::SyncPolicy), [`SyncAction::Adopt`] injects
 //! the shared incumbent into the population (replacing the current worst
-//! individual when the incumbent beats it), and [`SyncAction::Restart`]
-//! reseeds the population *from* the incumbent: the next generation is bred
-//! entirely out of it (plus mutation), refocusing a stalled population on
-//! the incumbent's basin.
+//! individual when the incumbent beats it).
 
 use mm_mapspace::{MapSpaceView, Mapping};
 use rand::rngs::StdRng;
@@ -184,8 +181,7 @@ impl ProposalSearch for GeneticAlgorithm {
             self.state
                 .population
                 .sort_by(|a, b| a.fitness.total_cmp(&b.fitness));
-            // A restart can shrink the population below the elite count.
-            let elites = self.elites().min(self.state.population.len());
+            let elites = self.elites();
             // mm-lint: allow(hot-path): once per generation, not per
             // proposal — the elite snapshot is amortized over `population`
             // proposals.
@@ -226,43 +222,29 @@ impl ProposalSearch for GeneticAlgorithm {
     /// [`SyncAction::Adopt`] injects the incumbent into the completed
     /// population, replacing the worst individual when the incumbent beats
     /// it (no effect while the initial random generation is still being
-    /// evaluated). [`SyncAction::Restart`] reseeds: the population becomes
-    /// the incumbent alone, so the whole next generation is bred from it.
+    /// evaluated).
     fn observe_global_best(
         &mut self,
         _space: &dyn MapSpaceView,
         mapping: &Mapping,
         cost: f64,
-        action: SyncAction,
+        _action: SyncAction,
         _rng: &mut StdRng,
     ) {
-        match action {
-            SyncAction::Adopt => {
-                let Some((worst, _)) = self
-                    .state
-                    .population
-                    .iter()
-                    .enumerate()
-                    .max_by(|(_, a), (_, b)| a.fitness.total_cmp(&b.fitness))
-                else {
-                    return;
-                };
-                if cost < self.state.population[worst].fitness {
-                    self.state.population[worst] = Individual {
-                        mapping: mapping.clone(),
-                        fitness: cost,
-                    };
-                }
-            }
-            SyncAction::Restart => {
-                self.state.population = vec![Individual {
-                    mapping: mapping.clone(),
-                    fitness: cost,
-                }];
-                // Drop the partially assembled generation; reports for
-                // still-outstanding proposals will seed the next one.
-                self.state.incoming.clear();
-            }
+        let Some((worst, _)) = self
+            .state
+            .population
+            .iter()
+            .enumerate()
+            .max_by(|(_, a), (_, b)| a.fitness.total_cmp(&b.fitness))
+        else {
+            return;
+        };
+        if cost < self.state.population[worst].fitness {
+            self.state.population[worst] = Individual {
+                mapping: mapping.clone(),
+                fitness: cost,
+            };
         }
     }
 }
@@ -324,7 +306,7 @@ mod tests {
     }
 
     #[test]
-    fn adopt_replaces_the_worst_and_restart_reseeds_from_the_incumbent() {
+    fn adopt_replaces_the_worst_individual() {
         let (space, _) = setup();
         let mut rng = StdRng::seed_from_u64(8);
         let mut ga = GeneticAlgorithm::new(GeneticConfig {
@@ -348,15 +330,6 @@ mod tests {
         // …and a weak one changes nothing.
         ga.observe_global_best(&space, &incumbent, 500.0, SyncAction::Adopt, &mut rng);
         assert!(!ga.state.population.iter().any(|i| i.fitness == 500.0));
-
-        // Restart: the population collapses onto the incumbent and the next
-        // generation still proposes a full batch bred from it.
-        ga.observe_global_best(&space, &incumbent, 0.5, SyncAction::Restart, &mut rng);
-        assert_eq!(ga.state.population.len(), 1);
-        assert_eq!(ga.state.population[0].fitness, 0.5);
-        ga.propose(&space, &mut rng, 16, &mut buf);
-        assert!(!buf.is_empty(), "reseeded GA keeps proposing");
-        assert!(buf.iter().all(|m| space.is_member(m)));
     }
 
     #[test]

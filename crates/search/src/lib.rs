@@ -25,9 +25,9 @@
 //!
 //! Multi-shard drivers additionally speak the **global-best sync protocol**:
 //! a [`SyncPolicy`] decides *when* a shard re-anchors on the shared
-//! incumbent (always, on stall, or with annealed probability), and each
+//! incumbent (never, always, or with annealed probability), and each
 //! searcher's [`ProposalSearch::observe_global_best`] implements the
-//! re-anchor/restart mechanics for its own trajectory representation.
+//! re-anchor mechanics for its own trajectory representation.
 
 pub mod annealing;
 pub mod genetic;
@@ -44,7 +44,7 @@ pub use objective::{split_evenly, Budget, FnObjective, Objective, Searcher};
 pub use proposal::{drive, ProposalBuf, ProposalSearch};
 pub use random::RandomSearch;
 pub use rl::{DdpgAgent, DdpgConfig};
-pub use sync::{SyncAction, SyncPolicy, SyncState};
+pub use sync::{SyncAction, SyncPolicy};
 pub use trace::{
     merge_shard_convergence, ConvergencePoint, ConvergenceTrace, SearchTrace, TracePoint,
 };

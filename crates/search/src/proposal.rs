@@ -94,24 +94,6 @@ impl ProposalBuf {
         }
         self.len += 1;
     }
-
-    /// Take the slot storage out of the buffer (for handoff to an owner
-    /// that needs `Vec<Mapping>`), returning `(slots, live_len)`. The
-    /// buffer is left empty; give the storage back with
-    /// [`restore`](Self::restore) to keep reusing its allocations.
-    pub fn take(&mut self) -> (Vec<Mapping>, usize) {
-        let len = self.len;
-        self.len = 0;
-        (std::mem::take(&mut self.slots), len)
-    }
-
-    /// Return slot storage previously removed with [`take`](Self::take).
-    /// The buffer must be empty (storage is not merged).
-    pub fn restore(&mut self, slots: Vec<Mapping>) {
-        debug_assert!(self.slots.is_empty() && self.len == 0);
-        self.slots = slots;
-        self.len = 0;
-    }
 }
 
 impl Deref for ProposalBuf {
@@ -171,12 +153,10 @@ pub trait ProposalSearch: Send {
     ///
     /// Implementations provide the *mechanics* of the action —
     /// [`SyncAction::Adopt`] re-anchors the current trajectory on `mapping`
-    /// (SA current point, GA population injection, DDPG episode state);
-    /// [`SyncAction::Restart`] additionally reseeds the searcher's schedule
-    /// (SA temperature, DDPG exploration noise) so it searches outward from
-    /// the incumbent again. The *decision* of when to call this (and with
-    /// which action) belongs to the driver, which must do so only at
-    /// deterministic sync points if it wants to preserve replayability.
+    /// (SA current point, GA population injection, DDPG episode state).
+    /// The *decision* of when to call this belongs to the driver, which
+    /// must do so only at deterministic sync points if it wants to preserve
+    /// replayability.
     ///
     /// `mapping` may lie outside `space` when shards search pairwise
     /// disjoint slices: implementations must route all follow-up proposals

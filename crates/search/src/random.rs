@@ -76,21 +76,16 @@ impl ProposalSearch for RandomSearch {
 
     fn report(&mut self, _mapping: &Mapping, _cost: f64, _rng: &mut StdRng) {}
 
-    /// Anchor future proposals near the incumbent. [`SyncAction::Restart`]
-    /// additionally resets the alternation phase, so the reseeded stream
-    /// leads with a fresh uniform sample before exploiting the anchor.
+    /// Anchor future proposals near the incumbent.
     fn observe_global_best(
         &mut self,
         _space: &dyn MapSpaceView,
         mapping: &Mapping,
         _cost: f64,
-        action: SyncAction,
+        _action: SyncAction,
         _rng: &mut StdRng,
     ) {
         self.anchor = Some(mapping.clone());
-        if action == SyncAction::Restart {
-            self.proposed = 0;
-        }
     }
 }
 

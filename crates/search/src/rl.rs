@@ -20,9 +20,7 @@
 //! classic monolithic [`Searcher`](crate::Searcher) loop for free.
 //!
 //! Under a [`SyncPolicy`](crate::SyncPolicy), [`SyncAction::Adopt`]
-//! re-anchors the current episode state on the shared incumbent, and
-//! [`SyncAction::Restart`] additionally resets the exploration-noise
-//! schedule and starts a fresh episode from the incumbent.
+//! re-anchors the current episode state on the shared incumbent.
 
 use mm_mapspace::{Encoding, MapSpaceView, Mapping, ProblemSpec};
 use mm_nn::optim::{Adam, Optimizer};
@@ -421,27 +419,20 @@ impl ProposalSearch for DdpgAgent {
     }
 
     /// [`SyncAction::Adopt`] re-anchors the current episode on the shared
-    /// incumbent (the next actor step starts from it);
-    /// [`SyncAction::Restart`] additionally resets the exploration noise to
-    /// its initial level and begins a fresh episode at the incumbent.
+    /// incumbent (the next actor step starts from it).
     fn observe_global_best(
         &mut self,
         _space: &dyn MapSpaceView,
         mapping: &Mapping,
         _cost: f64,
-        action: SyncAction,
+        _action: SyncAction,
         _rng: &mut StdRng,
     ) {
-        let initial_noise = self.config.exploration_noise;
         let Some(state) = self.state.as_mut() else {
             return;
         };
         state.state_vec = state.encode(mapping);
         state.reset_pending = false;
-        if action == SyncAction::Restart {
-            state.noise = initial_noise;
-            state.steps_in_episode = 0;
-        }
     }
 }
 
@@ -537,7 +528,7 @@ mod tests {
     }
 
     #[test]
-    fn restart_resets_noise_and_episode_at_the_incumbent() {
+    fn adopt_reanchors_the_episode_and_keeps_the_noise_schedule() {
         let (space, model) = setup();
         let mut rng = StdRng::seed_from_u64(5);
         let mut agent = DdpgAgent::new(DdpgConfig {
@@ -560,24 +551,13 @@ mod tests {
         );
 
         let incumbent = space.random_mapping(&mut rng);
-        agent.observe_global_best(&space, &incumbent, 1e-6, SyncAction::Restart, &mut rng);
+        agent.observe_global_best(&space, &incumbent, 1e-6, SyncAction::Adopt, &mut rng);
         let state = agent.state.as_ref().unwrap();
-        assert_eq!(state.noise, DdpgConfig::default().exploration_noise);
-        assert_eq!(state.steps_in_episode, 0);
         assert_eq!(
             state.state_vec,
             state.encode(&incumbent),
             "episode re-anchored at the incumbent"
         );
-        // Adopt keeps the (decayed-from-initial) schedule untouched.
-        let mut adopted = DdpgAgent::new(DdpgConfig {
-            episode_len: 4,
-            warmup: 1000,
-            ..DdpgConfig::default()
-        });
-        adopted.begin(&space, Some(100), &mut rng);
-        adopted.observe_global_best(&space, &incumbent, 1e-6, SyncAction::Adopt, &mut rng);
-        let state = adopted.state.as_ref().unwrap();
-        assert_eq!(state.state_vec, state.encode(&incumbent));
+        assert_eq!(state.noise, decayed, "adopt keeps the decayed schedule");
     }
 }

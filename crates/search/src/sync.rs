@@ -10,19 +10,17 @@
 //! depends on the search method and the remaining budget.
 //!
 //! [`SyncPolicy`] is the driver-side half of the protocol: at every sync
-//! point it turns shard-local state (a stall counter, the budget progress,
-//! the shard's own RNG stream) into an optional [`SyncAction`]. The
-//! searcher-side half is
+//! point it turns shard-local state (the budget progress, the shard's own
+//! RNG stream) into an optional [`SyncAction`]. The searcher-side half is
 //! [`ProposalSearch::observe_global_best`](crate::ProposalSearch::observe_global_best),
-//! which implements the *mechanics* of the chosen action: re-anchoring the
-//! current trajectory (`Adopt`) or restarting it from the incumbent with a
-//! reseeded schedule (`Restart`).
+//! which implements the *mechanics* of re-anchoring the current trajectory
+//! on the incumbent.
 //!
 //! Because the decision consumes only deterministic, shard-local inputs,
 //! policies compose with deterministic orchestration: a driver that
 //! delivers incumbents at deterministic rendezvous points (see
-//! `mm-mapper`'s barrier rounds) keeps its reports byte-identical across
-//! worker counts under every policy.
+//! `mm-mapper`'s rounds) keeps its reports byte-identical across worker
+//! counts under every policy.
 
 use std::fmt;
 use std::sync::{Arc, OnceLock};
@@ -31,40 +29,21 @@ use rand::rngs::StdRng;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-/// Interned telemetry counters for the drivers' shared sync protocol.
-/// Observation only: the decision stream and its RNG draws are untouched.
-fn tele_sync(kind: &str) -> &'static Arc<mm_telemetry::Counter> {
-    static DECIDES: OnceLock<Arc<mm_telemetry::Counter>> = OnceLock::new();
-    static ADOPTS: OnceLock<Arc<mm_telemetry::Counter>> = OnceLock::new();
-    static RESTARTS: OnceLock<Arc<mm_telemetry::Counter>> = OnceLock::new();
-    let (cell, name) = match kind {
-        "adopts" => (&ADOPTS, "sync.adopts"),
-        "restarts" => (&RESTARTS, "sync.restarts"),
-        _ => (&DECIDES, "sync.decides"),
-    };
-    cell.get_or_init(|| mm_telemetry::counter(name))
-}
-
 /// What a searcher should do with an observed global-best mapping.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum SyncAction {
     /// Re-anchor the current trajectory on the incumbent (SA-style: make it
     /// the current point; GA-style: inject it into the population).
     Adopt,
-    /// Restart from the incumbent with a reseeded trajectory — reset
-    /// schedules (SA temperature, DDPG exploration noise, annealed
-    /// injection temperature) and search outward from the incumbent again.
-    Restart,
 }
 
 /// When and how a search shard re-anchors on the shared global best.
 ///
 /// The policy is consulted at every sync point (every
 /// `sync_interval` evaluations in the mapper, every completed cadence in
-/// the serve scheduler) with the shard's *stall counter* (consecutive sync
-/// points without a shard-local best improvement), its *budget progress*
-/// in `[0, 1]`, and its own RNG stream. All inputs are shard-local and
-/// deterministic, so the decision stream is too.
+/// the serve scheduler) with the shard's *budget progress* in `[0, 1]` and
+/// its own RNG stream. Both inputs are shard-local and deterministic, so the
+/// decision stream is too.
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub enum SyncPolicy {
     /// Never observe the global best (fully independent shards).
@@ -73,14 +52,6 @@ pub enum SyncPolicy {
     /// Always adopt: re-anchor on the incumbent at every sync point
     /// (today's SA-style re-anchoring, made explicit).
     Anchor,
-    /// Restart a *stalled* shard from the global best with a reseeded
-    /// trajectory: after `patience` consecutive sync points without a
-    /// shard-local improvement, deliver [`SyncAction::Restart`].
-    Restart {
-        /// Consecutive non-improving sync points tolerated before the
-        /// restart fires.
-        patience: u64,
-    },
     /// Adopt with a probability that anneals linearly over the budget:
     /// `p = start + (end - start) · progress`. A decaying schedule
     /// (`start > end`) explores greedily early and preserves diversity
@@ -103,30 +74,28 @@ impl SyncPolicy {
 
     /// Decide what to do at one sync point.
     ///
-    /// * `stalled_syncs` — consecutive sync points without a shard-local
-    ///   best improvement (0 when the shard improved since the last sync);
     /// * `progress` — fraction of the shard's evaluation budget spent,
     ///   clamped to `[0, 1]`;
     /// * `rng` — the shard's own RNG stream ([`SyncPolicy::Annealed`] draws
     ///   one sample; the other variants draw none).
-    pub fn decide(
-        &self,
-        stalled_syncs: u64,
-        progress: f64,
-        rng: &mut StdRng,
-    ) -> Option<SyncAction> {
-        match *self {
+    pub fn decide(&self, progress: f64, rng: &mut StdRng) -> Option<SyncAction> {
+        let action = match *self {
             SyncPolicy::Off => None,
             SyncPolicy::Anchor => Some(SyncAction::Adopt),
-            SyncPolicy::Restart { patience } => {
-                (stalled_syncs >= patience).then_some(SyncAction::Restart)
-            }
             SyncPolicy::Annealed { start, end } => {
                 let t = progress.clamp(0.0, 1.0);
                 let p = (start + (end - start) * t).clamp(0.0, 1.0);
                 (rng.gen_range(0.0..1.0) < p).then_some(SyncAction::Adopt)
             }
+        };
+        // Observation only: the decision and its RNG draw are already made.
+        static DECIDES: OnceLock<Arc<mm_telemetry::Counter>> = OnceLock::new();
+        static ADOPTS: OnceLock<Arc<mm_telemetry::Counter>> = OnceLock::new();
+        crate::tele_counter(&DECIDES, "sync.decides").bump(1);
+        if action.is_some() {
+            crate::tele_counter(&ADOPTS, "sync.adopts").bump(1);
         }
+        action
     }
 
     /// A stable, human-readable rendering used wherever the policy
@@ -138,7 +107,6 @@ impl SyncPolicy {
         match *self {
             SyncPolicy::Off => "off".to_string(),
             SyncPolicy::Anchor => "anchor".to_string(),
-            SyncPolicy::Restart { patience } => format!("restart(patience={patience})"),
             SyncPolicy::Annealed { start, end } => format!("annealed(start={start},end={end})"),
         }
     }
@@ -150,65 +118,6 @@ impl fmt::Display for SyncPolicy {
     }
 }
 
-/// Per-search-unit stall bookkeeping for the drivers' sync points.
-///
-/// Every parallel driver (the `mm-mapper` shard loop, the `mm-serve`
-/// scheduler's jobs, the sharded Phase-2 search in `mm-core`) runs the
-/// same three-step protocol at a sync point: compare the unit's own best
-/// against its value at the previous sync point to update the stall
-/// counter, consult [`SyncPolicy::decide`], and re-arm the patience
-/// window when a [`SyncAction::Restart`] fires. `SyncState` centralizes
-/// that protocol so the drivers cannot drift apart.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SyncState {
-    stalled_syncs: u64,
-    last_best: Option<f64>,
-}
-
-impl SyncState {
-    /// Fresh state: no sync points seen, no best recorded.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Run one sync point: update the stall counter from `own_best` (the
-    /// unit's best primary cost so far, `None` when it has none yet),
-    /// consult the policy, and re-arm the counter when a restart fires so
-    /// the restarted trajectory gets a full patience window before the
-    /// next restart can fire.
-    pub fn decide(
-        &mut self,
-        policy: &SyncPolicy,
-        own_best: Option<f64>,
-        progress: f64,
-        rng: &mut StdRng,
-    ) -> Option<SyncAction> {
-        let improved = match (own_best, self.last_best) {
-            (Some(now), Some(prev)) => now < prev,
-            (Some(_), None) => true,
-            _ => false,
-        };
-        self.stalled_syncs = if improved { 0 } else { self.stalled_syncs + 1 };
-        self.last_best = own_best;
-        let action = policy.decide(self.stalled_syncs, progress, rng);
-        if action == Some(SyncAction::Restart) {
-            self.stalled_syncs = 0;
-        }
-        tele_sync("decides").bump(1);
-        match action {
-            Some(SyncAction::Adopt) => tele_sync("adopts").bump(1),
-            Some(SyncAction::Restart) => {
-                tele_sync("restarts").bump(1);
-                mm_telemetry::event("sync.restart", || {
-                    format!("policy={policy} progress={progress:.3}")
-                });
-            }
-            None => {}
-        }
-        action
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -217,25 +126,13 @@ mod tests {
     #[test]
     fn off_never_acts_and_anchor_always_adopts() {
         let mut rng = StdRng::seed_from_u64(0);
-        for stalled in [0, 5, 1000] {
-            for progress in [0.0, 0.5, 1.0] {
-                assert_eq!(SyncPolicy::Off.decide(stalled, progress, &mut rng), None);
-                assert_eq!(
-                    SyncPolicy::Anchor.decide(stalled, progress, &mut rng),
-                    Some(SyncAction::Adopt)
-                );
-            }
+        for progress in [0.0, 0.5, 1.0] {
+            assert_eq!(SyncPolicy::Off.decide(progress, &mut rng), None);
+            assert_eq!(
+                SyncPolicy::Anchor.decide(progress, &mut rng),
+                Some(SyncAction::Adopt)
+            );
         }
-    }
-
-    #[test]
-    fn restart_fires_only_after_patience() {
-        let mut rng = StdRng::seed_from_u64(1);
-        let p = SyncPolicy::Restart { patience: 3 };
-        assert_eq!(p.decide(0, 0.5, &mut rng), None);
-        assert_eq!(p.decide(2, 0.5, &mut rng), None);
-        assert_eq!(p.decide(3, 0.5, &mut rng), Some(SyncAction::Restart));
-        assert_eq!(p.decide(10, 0.5, &mut rng), Some(SyncAction::Restart));
     }
 
     #[test]
@@ -248,52 +145,20 @@ mod tests {
         };
         let mut rng = StdRng::seed_from_u64(2);
         for _ in 0..50 {
-            assert_eq!(p.decide(0, 0.0, &mut rng), Some(SyncAction::Adopt));
-            assert_eq!(p.decide(0, 1.0, &mut rng), None);
+            assert_eq!(p.decide(0.0, &mut rng), Some(SyncAction::Adopt));
+            assert_eq!(p.decide(1.0, &mut rng), None);
         }
         // Out-of-range progress clamps instead of extrapolating.
         for _ in 0..50 {
-            assert_eq!(p.decide(0, -3.0, &mut rng), Some(SyncAction::Adopt));
-            assert_eq!(p.decide(0, 7.0, &mut rng), None);
+            assert_eq!(p.decide(-3.0, &mut rng), Some(SyncAction::Adopt));
+            assert_eq!(p.decide(7.0, &mut rng), None);
         }
         // Mid-budget the decision is genuinely probabilistic: both outcomes
         // occur over a deterministic seeded stream.
         let adopted = (0..200)
-            .filter(|_| p.decide(0, 0.5, &mut rng) == Some(SyncAction::Adopt))
+            .filter(|_| p.decide(0.5, &mut rng) == Some(SyncAction::Adopt))
             .count();
         assert!(adopted > 50 && adopted < 150, "p≈0.5, got {adopted}/200");
-    }
-
-    #[test]
-    fn sync_state_rearms_patience_after_restart() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let policy = SyncPolicy::Restart { patience: 2 };
-        let mut state = SyncState::new();
-        // First sighting of a best counts as an improvement.
-        assert_eq!(state.decide(&policy, Some(1.0), 0.1, &mut rng), None);
-        // Two consecutive non-improving sync points fire the restart…
-        assert_eq!(state.decide(&policy, Some(1.0), 0.2, &mut rng), None);
-        assert_eq!(
-            state.decide(&policy, Some(1.0), 0.3, &mut rng),
-            Some(SyncAction::Restart)
-        );
-        // …and the counter re-arms: the next restart needs a fresh stall
-        // window instead of firing on every subsequent sync point.
-        assert_eq!(state.decide(&policy, Some(1.0), 0.4, &mut rng), None);
-        assert_eq!(
-            state.decide(&policy, Some(1.0), 0.5, &mut rng),
-            Some(SyncAction::Restart)
-        );
-        // An improvement resets the stall count too.
-        assert_eq!(state.decide(&policy, Some(0.5), 0.6, &mut rng), None);
-        assert_eq!(state.decide(&policy, Some(0.5), 0.7, &mut rng), None);
-        // No best yet never counts as an improvement.
-        let mut fresh = SyncState::new();
-        assert_eq!(fresh.decide(&policy, None, 0.0, &mut rng), None);
-        assert_eq!(
-            fresh.decide(&policy, None, 0.0, &mut rng),
-            Some(SyncAction::Restart)
-        );
     }
 
     #[test]
@@ -301,8 +166,6 @@ mod tests {
         let policies = [
             SyncPolicy::Off,
             SyncPolicy::Anchor,
-            SyncPolicy::Restart { patience: 2 },
-            SyncPolicy::Restart { patience: 3 },
             SyncPolicy::Annealed {
                 start: 0.9,
                 end: 0.1,
@@ -319,7 +182,7 @@ mod tests {
             }
         }
         assert_eq!(rendered[0], "off");
-        assert_eq!(rendered[2], "restart(patience=2)");
+        assert_eq!(rendered[1], "anchor");
         assert_eq!(
             SyncPolicy::Annealed {
                 start: 0.9,

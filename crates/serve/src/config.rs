@@ -2,8 +2,7 @@
 //! Service- and request-level knobs of a
 //! [`MappingService`](crate::MappingService).
 //!
-//! PR 9 split the old monolithic `ServeConfig` along the multi-tenant
-//! boundary:
+//! The knobs are split along the multi-tenant boundary:
 //!
 //! * [`ServiceConfig`] — properties of the long-lived service itself: the
 //!   shared pool size, the concurrency level, the admission-queue depth,
@@ -12,12 +11,7 @@
 //!   and seed, sharding, sync policy, cache participation, and the
 //!   scheduling identity (fair-share weight and tenant). Every
 //!   [`submit`](crate::MappingService::submit) carries its own.
-//!
-//! The deprecated [`ServeConfig`] remains as a conversion shim
-//! ([`ServeConfig::split`]) so existing callers keep compiling with a
-//! nudge instead of a break.
 
-use mm_mapspace::ShardAxisKind;
 use mm_search::SyncPolicy;
 use serde::{Deserialize, Serialize};
 
@@ -128,12 +122,6 @@ pub struct RequestConfig {
     /// results in shard order. Clamped per layer to the space's shard
     /// capacity.
     pub shards: usize,
-    /// Restrict shard partitions to this subset of the axis product
-    /// (`None`, the default: the full product — L2 order × L1 order ×
-    /// parallelism split × tile prefix). Shard counts clamp to the subset's
-    /// capacity. Participates in the fingerprint (appended to the tag only
-    /// when set, so legacy configurations keep their fingerprints).
-    pub shard_axes: Option<Vec<ShardAxisKind>>,
     /// How each layer-search job re-anchors on its incumbent best
     /// ([`SyncPolicy::Off`], the default: plain independent search). Serve
     /// sync is **job-local** — at a fixed evaluation cadence a job's own
@@ -141,10 +129,6 @@ pub struct RequestConfig {
     /// independent, determinism is preserved, and disjoint shard jobs never
     /// contaminate each other.
     pub sync: SyncPolicy,
-    /// Shard-aware horizon hints (off by default): begin each shard job's
-    /// searcher with the shard-scaled horizon instead of the raw per-shard
-    /// budget.
-    pub shard_horizon: bool,
     /// Reuse results for repeated `(problem, arch, config)` fingerprints —
     /// across layers of one request and across requests on one service.
     pub use_cache: bool,
@@ -164,9 +148,7 @@ impl Default for RequestConfig {
             seed: 0,
             search_size: 2_000,
             shards: 1,
-            shard_axes: None,
             sync: SyncPolicy::Off,
-            shard_horizon: false,
             use_cache: true,
             priority: 1,
             tenant: String::new(),
@@ -193,22 +175,9 @@ impl RequestConfig {
         self
     }
 
-    /// A config sharding over the given axis subset (`None` = the full
-    /// axis product).
-    pub fn with_shard_axes(mut self, shard_axes: Option<Vec<ShardAxisKind>>) -> Self {
-        self.shard_axes = shard_axes;
-        self
-    }
-
     /// A config with the given job-local global-best sync policy.
     pub fn with_sync(mut self, sync: SyncPolicy) -> Self {
         self.sync = sync;
-        self
-    }
-
-    /// A config with shard-aware horizon hints switched on or off.
-    pub fn with_shard_horizon(mut self, shard_horizon: bool) -> Self {
-        self.shard_horizon = shard_horizon;
         self
     }
 
@@ -230,147 +199,22 @@ impl RequestConfig {
         self
     }
 
-    /// The request's portion of the fingerprint tag.
-    ///
-    /// **Byte-stable:** for configurations expressible by the legacy
-    /// `ServeConfig` (no `shard_axes`) this renders exactly the legacy
-    /// format, so fingerprints — and therefore derived RNG streams, cached
-    /// fixtures, and bench quality baselines — are unchanged by the PR 9
-    /// API split. `shard_axes` appends only when set; `priority` and
+    /// The request's portion of the fingerprint tag. `priority` and
     /// `tenant` never appear (scheduling identity must not change search
     /// results).
+    ///
+    /// **Byte-stable:** fingerprints seed every layer job's RNG stream, so
+    /// these bytes pin cached fixtures and bench quality baselines.
     pub(crate) fn search_tag(&self) -> String {
-        use std::fmt::Write;
-        let mut tag = format!(
-            "seed={} search_size={} shards={} sync={} shard_horizon={}",
+        // The ` shard_horizon=false` suffix is what every surviving
+        // configuration rendered while that knob existed; dropping it would
+        // move every fingerprint and, through them, every serve result.
+        format!(
+            "seed={} search_size={} shards={} sync={} shard_horizon=false",
             self.seed,
             self.search_size,
             self.shards.max(1),
             self.sync.canonical_string(),
-            self.shard_horizon,
-        );
-        if let Some(axes) = &self.shard_axes {
-            let _ = write!(tag, " shard_axes={axes:?}");
-        }
-        tag
-    }
-}
-
-/// Legacy monolithic configuration, kept as a conversion shim.
-///
-/// Split along the multi-tenant boundary by [`ServeConfig::split`]; any
-/// `impl Into<ServiceProfile>` — this type included — still constructs a
-/// [`MappingService`](crate::MappingService), so existing callers compile
-/// with a deprecation nudge instead of a break.
-#[deprecated(
-    since = "0.9.0",
-    note = "split into ServiceConfig (service-level) + RequestConfig (per-request); \
-            see ServeConfig::split"
-)]
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct ServeConfig {
-    /// Evaluation-pool worker threads (shared by all layer jobs).
-    pub workers: usize,
-    /// Layer searches multiplexed over the pool concurrently.
-    pub max_active_jobs: usize,
-    /// Bound on in-flight requests (was: staged layer jobs).
-    pub queue_capacity: usize,
-    /// Master seed of every request submitted through the legacy API.
-    pub seed: u64,
-    /// Evaluations spent searching each distinct layer.
-    pub search_size: u64,
-    /// Map-space shards per layer search.
-    pub shards: usize,
-    /// Job-local global-best sync policy.
-    pub sync: SyncPolicy,
-    /// Shard-aware horizon hints.
-    pub shard_horizon: bool,
-    /// Reuse results for repeated fingerprints.
-    pub use_cache: bool,
-    /// Result-cache entry bound (`None` = unbounded).
-    pub cache_capacity: Option<usize>,
-}
-
-#[allow(deprecated)]
-impl Default for ServeConfig {
-    fn default() -> Self {
-        ServeConfig {
-            workers: 2,
-            max_active_jobs: 2,
-            queue_capacity: 8,
-            seed: 0,
-            search_size: 2_000,
-            shards: 1,
-            sync: SyncPolicy::Off,
-            shard_horizon: false,
-            use_cache: true,
-            cache_capacity: None,
-        }
-    }
-}
-
-#[allow(deprecated)]
-impl ServeConfig {
-    /// A config with the given per-layer evaluation budget.
-    pub fn with_search_size(mut self, search_size: u64) -> Self {
-        self.search_size = search_size;
-        self
-    }
-
-    /// A config with the given pool size.
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = workers;
-        self
-    }
-
-    /// A config with the given per-layer map-space shard count.
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards;
-        self
-    }
-
-    /// A config with the given job-local global-best sync policy.
-    pub fn with_sync(mut self, sync: SyncPolicy) -> Self {
-        self.sync = sync;
-        self
-    }
-
-    /// A config with shard-aware horizon hints switched on or off.
-    pub fn with_shard_horizon(mut self, shard_horizon: bool) -> Self {
-        self.shard_horizon = shard_horizon;
-        self
-    }
-
-    /// A config with the given result-cache entry bound (`None` =
-    /// unbounded).
-    pub fn with_cache_capacity(mut self, cache_capacity: Option<usize>) -> Self {
-        self.cache_capacity = cache_capacity;
-        self
-    }
-
-    /// Split along the multi-tenant boundary: the service-level knobs and
-    /// the per-request knobs this legacy config described.
-    pub fn split(self) -> (ServiceConfig, RequestConfig) {
-        (
-            ServiceConfig {
-                workers: self.workers,
-                max_active_jobs: self.max_active_jobs,
-                queue_depth: self.queue_capacity,
-                tenant_budget: None,
-                cache_capacity: self.cache_capacity,
-                completed_capacity: ServiceConfig::default().completed_capacity,
-            },
-            RequestConfig {
-                seed: self.seed,
-                search_size: self.search_size,
-                shards: self.shards,
-                shard_axes: None,
-                sync: self.sync,
-                shard_horizon: self.shard_horizon,
-                use_cache: self.use_cache,
-                priority: 1,
-                tenant: String::new(),
-            },
         )
     }
 }
@@ -378,8 +222,8 @@ impl ServeConfig {
 /// What [`MappingService::new`](crate::MappingService::new) consumes: the
 /// service-level config plus the default [`RequestConfig`] used by the
 /// legacy synchronous [`map_network`](crate::MappingService::map_network)
-/// surface. Build it from a [`ServiceConfig`] (default requests), a
-/// `(ServiceConfig, RequestConfig)` pair, or a legacy [`ServeConfig`].
+/// surface. Build it from a [`ServiceConfig`] (default requests) or a
+/// `(ServiceConfig, RequestConfig)` pair.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct ServiceProfile {
     /// Service-level configuration.
@@ -400,17 +244,6 @@ impl From<ServiceConfig> for ServiceProfile {
 
 impl From<(ServiceConfig, RequestConfig)> for ServiceProfile {
     fn from((service, default_request): (ServiceConfig, RequestConfig)) -> Self {
-        ServiceProfile {
-            service,
-            default_request,
-        }
-    }
-}
-
-#[allow(deprecated)]
-impl From<ServeConfig> for ServiceProfile {
-    fn from(config: ServeConfig) -> Self {
-        let (service, default_request) = config.split();
         ServiceProfile {
             service,
             default_request,
@@ -452,22 +285,18 @@ mod tests {
         assert!(r.use_cache);
         assert_eq!(r.shards, 1, "sharding is off by default");
         assert_eq!(r.sync, SyncPolicy::Off, "sync is off by default");
-        assert!(!r.shard_horizon, "horizon hints are off by default");
         assert_eq!(r.priority, 1, "baseline fair-share weight");
         let r = r
             .with_seed(9)
             .with_search_size(64)
             .with_shards(4)
-            .with_shard_axes(Some(vec![ShardAxisKind::OrderL2]))
             .with_sync(SyncPolicy::Anchor)
-            .with_shard_horizon(true)
             .with_use_cache(false)
             .with_priority(3)
             .with_tenant("team-a");
         assert_eq!((r.seed, r.search_size, r.shards), (9, 64, 4));
-        assert_eq!(r.shard_axes, Some(vec![ShardAxisKind::OrderL2]));
         assert_eq!(r.sync, SyncPolicy::Anchor);
-        assert!(r.shard_horizon && !r.use_cache);
+        assert!(!r.use_cache);
         assert_eq!((r.priority, r.tenant.as_str()), (3, "team-a"));
     }
 
@@ -480,16 +309,18 @@ mod tests {
             r.search_tag(),
             "seed=1 search_size=500 shards=1 sync=off shard_horizon=false"
         );
-        let r = r
-            .with_shards(4)
-            .with_sync(SyncPolicy::Anchor)
-            .with_shard_horizon(true);
+        let r = r.with_shards(4).with_sync(SyncPolicy::Anchor);
         assert_eq!(
             r.search_tag(),
-            format!(
-                "seed=1 search_size=500 shards=4 sync={} shard_horizon=true",
-                SyncPolicy::Anchor.canonical_string()
-            )
+            "seed=1 search_size=500 shards=4 sync=anchor shard_horizon=false"
+        );
+        let r = r.with_sync(SyncPolicy::Annealed {
+            start: 0.9,
+            end: 0.1,
+        });
+        assert_eq!(
+            r.search_tag(),
+            "seed=1 search_size=500 shards=4 sync=annealed(start=0.9,end=0.1) shard_horizon=false"
         );
     }
 
@@ -502,50 +333,5 @@ mod tests {
             weighted.search_tag(),
             "priority/tenant steer scheduling, never results"
         );
-        // shard_axes appends (it changes shard coverage), but only when set.
-        let restricted = base
-            .clone()
-            .with_shard_axes(Some(vec![ShardAxisKind::OrderL2, ShardAxisKind::Tile]));
-        assert!(restricted
-            .search_tag()
-            .contains("shard_axes=[OrderL2, Tile]"));
-        assert!(!base.search_tag().contains("shard_axes"));
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn legacy_config_splits_faithfully() {
-        let legacy = ServeConfig {
-            workers: 3,
-            max_active_jobs: 5,
-            queue_capacity: 7,
-            seed: 11,
-            search_size: 640,
-            shards: 2,
-            sync: SyncPolicy::Anchor,
-            shard_horizon: true,
-            use_cache: false,
-            cache_capacity: Some(4),
-        };
-        let (service, request) = legacy.split();
-        assert_eq!(
-            (
-                service.workers,
-                service.max_active_jobs,
-                service.queue_depth
-            ),
-            (3, 5, 7)
-        );
-        assert_eq!(service.cache_capacity, Some(4));
-        assert_eq!(
-            (request.seed, request.search_size, request.shards),
-            (11, 640, 2)
-        );
-        assert_eq!(request.sync, SyncPolicy::Anchor);
-        assert!(request.shard_horizon && !request.use_cache);
-        // The profile conversion carries both halves.
-        let profile: ServiceProfile = legacy.into();
-        assert_eq!(profile.service, service);
-        assert_eq!(profile.default_request, request);
     }
 }

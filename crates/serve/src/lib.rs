@@ -78,8 +78,6 @@ mod scheduler;
 pub mod service;
 
 pub use cache::{fingerprint_parts, CacheStats, CachedLayer};
-#[allow(deprecated)]
-pub use config::ServeConfig;
 pub use config::{RequestConfig, ServiceConfig, ServiceProfile};
 // Re-exported so serve callers can configure `RequestConfig::sync` without
 // depending on mm-search directly.

@@ -2,8 +2,7 @@
 //! instances — from many *concurrent requests* — over **one** shared
 //! [`EvalPool`].
 //!
-//! Where `mm_mapper::run_pipelined` drives a single searcher against a pool,
-//! this scheduler drives the job queues of every in-flight request at once:
+//! The scheduler drives the job queues of every in-flight request at once:
 //! up to `max_active` jobs keep proposals in flight simultaneously, every
 //! batch is tagged with the pool ids of its members, and completions are
 //! routed back to the owning job in proposal order. Pool workers never idle
@@ -26,8 +25,7 @@
 //! Each job owns an RNG stream seeded from its spec alone, proposals are
 //! reported back in proposal order per job, and best-mapping ties resolve
 //! first-found. A searcher's proposal sequence must not depend on how
-//! `propose` calls are batched (the same contract `run_pipelined` relies
-//! on), so a job's outcome is independent of worker count, concurrency
+//! `propose` calls are batched, so a job's outcome is independent of worker count, concurrency
 //! level, sibling requests, and completion timing — only the spec (seed,
 //! budget, space, evaluator, sync policy) matters.
 //!
@@ -47,23 +45,35 @@
 //! A [`SyncPolicy`] on the spec is applied *within* each job: every
 //! [`JOB_SYNC_INTERVAL`] completed evaluations the job's own best-so-far
 //! is offered back to its searcher (`Anchor`/`Annealed` pull a drifting
-//! trajectory back onto it, `Restart` warm-restarts a stalled job from
-//! it). Keeping the incumbent job-local preserves both the determinism
+//! trajectory back onto it). Keeping the incumbent job-local preserves both the determinism
 //! guarantee above and the disjointness of sharded layer jobs.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
-use mm_mapper::{pipeline_depth, CostEvaluator, EvalPool, Evaluation, OptMetric};
+use mm_mapper::{CostEvaluator, EvalPool, Evaluation, OptMetric};
 use mm_mapspace::{MapSpaceView, Mapping};
-use mm_search::{ConvergenceTrace, ProposalBuf, ProposalSearch, SyncPolicy, SyncState};
+use mm_search::{ConvergenceTrace, ProposalBuf, ProposalSearch, SyncPolicy};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 /// Completed evaluations between job-local sync points (matches the
 /// mapper's default `sync_interval`).
 pub(crate) const JOB_SYNC_INTERVAL: u64 = 64;
+
+/// Minimum in-flight proposal depth of a job (when its searcher tolerates
+/// it): deep enough that per-worker chunk jobs carry meaningful batches for
+/// `CostEvaluator::evaluate_batch` fast paths (e.g. ≥ 16-row surrogate
+/// forward passes on a 2-worker pool), independent of pool width.
+const MIN_PIPELINE_DEPTH: usize = 32;
+
+/// Clamp a searcher's `lookahead` to the in-flight depth a pool can keep
+/// fed: at least 1, at most two proposals per worker — but never capped
+/// below [`MIN_PIPELINE_DEPTH`].
+fn pipeline_depth(lookahead: usize, workers: usize) -> usize {
+    lookahead.clamp(1, (workers * 2).max(MIN_PIPELINE_DEPTH))
+}
 
 fn tele_jobs_started() -> &'static Arc<mm_telemetry::Counter> {
     static C: OnceLock<Arc<mm_telemetry::Counter>> = OnceLock::new();
@@ -103,11 +113,6 @@ pub(crate) struct JobSpec {
     pub budget: u64,
     /// Job-local global-best sync policy (see the module docs).
     pub sync: SyncPolicy,
-    /// Shard-aware horizon hint: begin the searcher with the view-scaled
-    /// horizon (`MapSpaceView::horizon_hint`) instead of the raw budget, so
-    /// schedule-based searchers confined to a shard stop tuning their
-    /// schedules as if they owned the full space.
-    pub shard_horizon: bool,
 }
 
 /// What one layer search produced.
@@ -172,9 +177,6 @@ struct ActiveJob {
     /// Cancelled by the service; drains like a failed job.
     cancelled: bool,
     sync: SyncPolicy,
-    /// Stall bookkeeping (consecutive non-improving sync points) consumed
-    /// by [`SyncPolicy::decide`].
-    sync_state: SyncState,
     /// Improvement-only convergence recorder (telemetry enabled).
     convergence: Option<ConvergenceTrace>,
     /// This job's span track (`serve.job{id}`), spans level only.
@@ -186,12 +188,7 @@ struct ActiveJob {
 impl ActiveJob {
     fn start(job_id: u64, mut spec: JobSpec) -> Self {
         let mut rng = StdRng::seed_from_u64(spec.seed);
-        let horizon = if spec.shard_horizon {
-            spec.space.horizon_hint(spec.budget)
-        } else {
-            spec.budget
-        };
-        spec.search.begin(&*spec.space, Some(horizon), &mut rng);
+        spec.search.begin(&*spec.space, Some(spec.budget), &mut rng);
         tele_jobs_started().bump(1);
         mm_telemetry::event("serve.job.start", || {
             format!(
@@ -220,7 +217,6 @@ impl ActiveJob {
             failed: None,
             cancelled: false,
             sync: spec.sync,
-            sync_state: SyncState::new(),
             convergence: mm_telemetry::enabled().then(ConvergenceTrace::new),
             track,
             job_span,
@@ -252,7 +248,7 @@ impl ActiveJob {
         // point mutates searcher state (and may draw from the job RNG), so
         // it must land at a *fixed* position in the proposal stream. If the
         // pipeline could run ahead of the boundary, how many proposals were
-        // drawn before the adopt/restart would depend on arrival timing —
+        // drawn before the adopt would depend on arrival timing —
         // and the result on pool scheduling. The pipeline drains briefly at
         // each boundary; that bounded stall is the price of determinism.
         let horizon = if self.sync.is_enabled() {
@@ -349,9 +345,9 @@ impl ActiveJob {
         }
     }
 
-    /// One job-local sync point: consult the policy with the job's stall
-    /// counter and budget progress; when it acts, hand the job's own best
-    /// back to the searcher (re-anchor or warm restart).
+    /// One job-local sync point: consult the policy with the job's budget
+    /// progress; when it acts, hand the job's own best back to the searcher
+    /// (re-anchor).
     fn sync_point(&mut self) {
         let _span = self.track.as_ref().and_then(|t| t.span("job.sync"));
         let Some((mapping, eval)) = self.best.clone() else {
@@ -363,10 +359,7 @@ impl ActiveJob {
         } else {
             self.completed as f64 / self.budget as f64
         };
-        let Some(action) = self
-            .sync_state
-            .decide(&self.sync, Some(own), progress, &mut self.rng)
-        else {
+        let Some(action) = self.sync.decide(progress, &mut self.rng) else {
             return;
         };
         tele_sync_points().bump(1);
@@ -604,7 +597,6 @@ mod tests {
             seed,
             budget,
             sync: SyncPolicy::Off,
-            shard_horizon: false,
         }
     }
 
@@ -741,95 +733,26 @@ mod tests {
         assert_eq!(order, vec![0, 1, 0, 1, 0, 1], "ties break by request id");
     }
 
-    /// Records the horizon each job's searcher was begun with.
-    struct HorizonSpy {
-        inner: RandomSearch,
-        seen: Arc<std::sync::Mutex<Vec<u64>>>,
-    }
-
-    impl ProposalSearch for HorizonSpy {
-        fn name(&self) -> &str {
-            "HorizonSpy"
-        }
-        fn begin(
-            &mut self,
-            space: &dyn mm_mapspace::MapSpaceView,
-            horizon: Option<u64>,
-            rng: &mut StdRng,
-        ) {
-            self.seen
-                .lock()
-                .unwrap()
-                .push(horizon.expect("scheduler always bounds jobs"));
-            self.inner.begin(space, horizon, rng);
-        }
-        fn propose(
-            &mut self,
-            space: &dyn mm_mapspace::MapSpaceView,
-            rng: &mut StdRng,
-            max: usize,
-            out: &mut ProposalBuf,
-        ) {
-            self.inner.propose(space, rng, max, out);
-        }
-        fn report(&mut self, mapping: &Mapping, cost: f64, rng: &mut StdRng) {
-            self.inner.report(mapping, cost, rng);
-        }
-    }
-
     #[test]
-    fn shard_horizon_hint_scales_job_begin_horizons() {
-        use mm_mapspace::MapSpaceView;
-        // One job per shard of a sharded layer space: the hint must shrink
-        // the begin-horizon below the raw budget (without costing budget),
-        // and stay identical across pool shapes.
-        let mk = |shard_horizon: bool, seen: &Arc<std::sync::Mutex<Vec<u64>>>| -> Vec<JobSpec> {
-            let arch = Architecture::example();
-            let problem = ProblemSpec::conv1d(512, 5);
-            let space = MapSpace::new(problem.clone(), arch.mapping_constraints());
-            (0..2)
-                .map(|s| JobSpec {
-                    request: s,
-                    weight: 1,
-                    space: space.shard(s as usize, 64).clone_view(),
-                    evaluator: Arc::new(ModelEvaluator::edp(CostModel::new(
-                        arch.clone(),
-                        problem.clone(),
-                    ))),
-                    search: Box::new(HorizonSpy {
-                        inner: RandomSearch::new(),
-                        seen: Arc::clone(seen),
-                    }),
-                    seed: 9 + s,
-                    budget: 400,
-                    sync: SyncPolicy::Off,
-                    shard_horizon,
-                })
-                .collect()
-        };
-        let run = |workers: usize, hint: bool| -> (Vec<u64>, Vec<u64>) {
-            let seen = Arc::new(std::sync::Mutex::new(Vec::new()));
-            let mut pool = EvalPool::shared(workers);
-            let evals = run_specs(&mut pool, mk(hint, &seen), 2)
-                .iter()
-                .map(|o| o.evaluations)
-                .collect();
-            let mut horizons = seen.lock().unwrap().clone();
-            horizons.sort_unstable();
-            (horizons, evals)
-        };
-        let (raw, raw_evals) = run(1, false);
-        assert_eq!(raw, vec![400; 2], "un-hinted jobs see their raw budget");
-        assert_eq!(raw_evals, vec![400; 2]);
-        let (hinted, hinted_evals) = run(2, true);
-        for h in &hinted {
-            assert!(
-                (1..400).contains(h),
-                "hinted horizon must shrink below the budget, got {h}"
-            );
-        }
-        assert_eq!(hinted_evals, vec![400; 2], "the hint costs no budget");
-        assert_eq!(hinted, run(3, true).0, "hint stays pool-shape independent");
+    fn pipeline_depth_pins_the_clamp_boundaries() {
+        // Below MIN_PIPELINE_DEPTH worth of workers, the floor wins: the
+        // cap is MIN_PIPELINE_DEPTH regardless of pool width.
+        assert_eq!(pipeline_depth(1000, 1), MIN_PIPELINE_DEPTH);
+        assert_eq!(
+            pipeline_depth(1000, MIN_PIPELINE_DEPTH / 2),
+            MIN_PIPELINE_DEPTH
+        );
+        // From workers*2 == MIN_PIPELINE_DEPTH upward, workers*2 wins.
+        assert_eq!(
+            pipeline_depth(1000, MIN_PIPELINE_DEPTH / 2 + 1),
+            MIN_PIPELINE_DEPTH + 2
+        );
+        assert_eq!(pipeline_depth(1000, 20), 40);
+        // A modest lookahead is never inflated, and zero clamps to 1.
+        assert_eq!(pipeline_depth(10, 20), 10);
+        assert_eq!(pipeline_depth(1, 20), 1);
+        assert_eq!(pipeline_depth(0, 20), 1);
+        assert_eq!(pipeline_depth(usize::MAX, 3), MIN_PIPELINE_DEPTH);
     }
 
     #[test]
@@ -979,12 +902,10 @@ mod tests {
             run(3, SyncPolicy::Anchor),
             "job-local sync must stay worker-count independent"
         );
-        let restarted = run(1, SyncPolicy::Restart { patience: 0 });
-        assert_eq!(restarted, run(2, SyncPolicy::Restart { patience: 0 }));
         assert_ne!(
-            restarted,
+            anchored,
             run(1, SyncPolicy::Off),
-            "an always-firing restart policy must steer the search"
+            "an always-adopting policy must steer the search"
         );
     }
 }

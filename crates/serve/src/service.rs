@@ -192,8 +192,8 @@ impl MappingService {
     /// (optimizing `edp`, with `energy` and `delay` carried for the
     /// network aggregates) and random search per layer.
     ///
-    /// `profile` accepts a [`ServiceConfig`] (default per-request config),
-    /// a `(ServiceConfig, RequestConfig)` pair, or a legacy `ServeConfig`.
+    /// `profile` accepts a [`ServiceConfig`] (default per-request config)
+    /// or a `(ServiceConfig, RequestConfig)` pair.
     pub fn new(arch: Architecture, profile: impl Into<ServiceProfile>) -> Self {
         let factory: EvaluatorFactory = Box::new(|arch, problem| {
             Arc::new(ModelEvaluator::with_metrics(
@@ -934,18 +934,11 @@ impl MappingService {
         config: &RequestConfig,
     ) -> Vec<JobSpec> {
         let space = MapSpace::new(problem.clone(), self.arch.mapping_constraints());
-        let requested = config.shards.max(1);
-        let shards = match &config.shard_axes {
-            Some(kinds) => space.clamp_shard_count_for(kinds, requested),
-            None => space.clamp_shard_count(requested),
-        };
+        let shards = space.clamp_shard_count(config.shards.max(1));
         (0..shards)
             .map(|s| {
                 let view: Box<dyn mm_mapspace::MapSpaceView> = if shards > 1 {
-                    match &config.shard_axes {
-                        Some(kinds) => Box::new(space.shard_with(kinds, s, shards)),
-                        None => Box::new(space.shard(s, shards)),
-                    }
+                    Box::new(space.shard(s, shards))
                 } else {
                     Box::new(space.clone())
                 };
@@ -962,7 +955,6 @@ impl MappingService {
                     seed: derive_stream_seed(config.seed ^ fingerprint, s),
                     budget: split_evenly(config.search_size, s, shards),
                     sync: config.sync,
-                    shard_horizon: config.shard_horizon,
                 }
             })
             .collect()

@@ -331,34 +331,6 @@ fn shard_config_changes_results_not_cache_replays() {
     );
 }
 
-/// The shard-horizon hint is a search-configuration knob like shards/sync:
-/// it changes what a sharded SA job finds (shorter cooling schedule), and —
-/// folded into the result-cache fingerprint — hinted and un-hinted runs
-/// never share cache entries, even on one service via reconfiguration.
-#[test]
-fn shard_horizon_hint_is_a_distinct_search_configuration() {
-    let problem = ProblemSpec::conv1d(768, 7);
-    let run = |shard_horizon: bool| {
-        let request = quick_request()
-            .with_shards(4)
-            .with_shard_horizon(shard_horizon)
-            .with_search_size(400);
-        let mut service = MappingService::new(evaluated_accelerator(), (quick_service(), request))
-            .with_searcher(Box::new(|| Box::new(SimulatedAnnealing::default())));
-        service.map_problem("conv", problem.clone())
-    };
-    let plain = run(false);
-    let hinted = run(true);
-    assert_eq!(
-        plain.evaluations, hinted.evaluations,
-        "hints cost no budget"
-    );
-    assert_ne!(
-        plain.best_mapping, hinted.best_mapping,
-        "the hint must change the sharded SA schedule"
-    );
-}
-
 /// Two configurations differing *only* in the sync policy never share
 /// cache entries: the policy is folded into the result-cache fingerprint,
 /// so each policy derives its own RNG streams and produces its own result.
@@ -373,13 +345,16 @@ fn sync_policy_configs_never_share_cache_entries() {
     };
     let off = run(SyncPolicy::Off);
     let anchored = run(SyncPolicy::Anchor);
-    let restarted = run(SyncPolicy::Restart { patience: 0 });
+    let annealed = run(SyncPolicy::Annealed {
+        start: 0.9,
+        end: 0.1,
+    });
     assert_eq!(off.evaluations, anchored.evaluations);
     assert_ne!(
         off.best_mapping, anchored.best_mapping,
         "distinct sync configs must not replay each other's results"
     );
-    assert_ne!(anchored.best_mapping, restarted.best_mapping);
+    assert_ne!(anchored.best_mapping, annealed.best_mapping);
 
     // And on one long-lived service, a cached replay reproduces the
     // policy-specific result exactly (never a cross-policy entry).
@@ -405,7 +380,10 @@ fn synced_serving_is_byte_identical_across_pool_shapes() {
             .with_workers(workers)
             .with_max_active_jobs(max_active);
         let request = quick_request()
-            .with_sync(SyncPolicy::Restart { patience: 1 })
+            .with_sync(SyncPolicy::Annealed {
+                start: 0.9,
+                end: 0.1,
+            })
             .with_search_size(200);
         let mut service = MappingService::new(evaluated_accelerator(), (service_cfg, request))
             .with_searcher(Box::new(|| Box::new(SimulatedAnnealing::default())));
@@ -414,22 +392,4 @@ fn synced_serving_is_byte_identical_across_pool_shapes() {
     let base = run(2, 2);
     assert_eq!(base, run(1, 1), "independent of concurrency");
     assert_eq!(base, run(4, 3), "independent of pool width");
-}
-
-/// The deprecated `ServeConfig` still constructs a service and maps through
-/// the legacy synchronous surface, producing the same bytes as the split
-/// configs it converts into.
-#[test]
-#[allow(deprecated)]
-fn legacy_serve_config_still_serves_identically() {
-    let net = Network::new("legacy").with_layer("l", ProblemSpec::conv1d(300, 5), 2);
-    let legacy = mm_serve::ServeConfig::default()
-        .with_search_size(120)
-        .with_workers(2);
-    let mut old_style = MappingService::new(Architecture::example(), legacy);
-    let via_legacy = old_style.map_network(&net).canonical_string();
-
-    let (service_cfg, request) = legacy.split();
-    let mut new_style = MappingService::new(Architecture::example(), (service_cfg, request));
-    assert_eq!(via_legacy, new_style.map_network(&net).canonical_string());
 }

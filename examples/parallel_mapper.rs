@@ -8,9 +8,9 @@
 //! cargo run --release --example parallel_mapper
 //! # knobs:
 //! MM_MAPPER_THREADS=8 MM_MAPPER_SEARCH_SIZE=20000 cargo run --release --example parallel_mapper
-//! # disjoint map-space shards (loop-order/tiling slices) + work stealing:
-//! MM_MAPPER_SHARDS=8 MM_MAPPER_SHARD_SPACE=1 MM_MAPPER_STEAL=1 cargo run --release --example parallel_mapper
-//! # global-best sync policy (off | anchor | restart | annealed):
+//! # disjoint map-space shards (loop-order/tiling slices):
+//! MM_MAPPER_SHARDS=8 MM_MAPPER_SHARD_SPACE=1 cargo run --release --example parallel_mapper
+//! # global-best sync policy (off | anchor | annealed):
 //! MM_MAPPER_SHARDS=4 MM_MAPPER_SYNC=anchor cargo run --release --example parallel_mapper
 //! ```
 
@@ -18,8 +18,7 @@ use std::sync::Arc;
 
 use mind_mappings::prelude::*;
 use mm_mapper::{
-    Mapper, MapperConfig, MapperSchedule, ModelEvaluator, OptMetric, StopReason, SyncPolicy,
-    TerminationPolicy,
+    Mapper, MapperConfig, ModelEvaluator, OptMetric, StopReason, SyncPolicy, TerminationPolicy,
 };
 use mm_search::AnnealingConfig;
 
@@ -35,14 +34,8 @@ fn main() {
     let search_size = env_u64("MM_MAPPER_SEARCH_SIZE", 8_000);
     let shards = env_u64("MM_MAPPER_SHARDS", threads as u64) as usize;
     let shard_space = env_u64("MM_MAPPER_SHARD_SPACE", 0) != 0;
-    let schedule = if env_u64("MM_MAPPER_STEAL", 0) != 0 {
-        MapperSchedule::WorkStealing
-    } else {
-        MapperSchedule::Deterministic
-    };
     let sync = match std::env::var("MM_MAPPER_SYNC").as_deref() {
         Ok("anchor") => SyncPolicy::Anchor,
-        Ok("restart") => SyncPolicy::Restart { patience: 3 },
         Ok("annealed") => SyncPolicy::Annealed {
             start: 0.9,
             end: 0.1,
@@ -62,7 +55,7 @@ fn main() {
         space.log10_size_estimate()
     );
     println!(
-        "threads:    {threads}, shards: {shards} (space sharding: {shard_space}, schedule: {schedule:?}, sync: {sync})"
+        "threads:    {threads}, shards: {shards} (space sharding: {shard_space}, sync: {sync})"
     );
     println!("search:     {search_size} evaluations\n");
 
@@ -77,7 +70,6 @@ fn main() {
         threads,
         shards: Some(shards),
         shard_space,
-        schedule,
         seed: 1,
         sync_interval: 128,
         sync,

@@ -43,8 +43,8 @@ pub mod prelude {
         CostModelObjective, GradientProposer, MindMappings, Phase1Config, Phase2Config, Surrogate,
     };
     pub use mm_mapper::{
-        CostEvaluator, EvalPool, Evaluation, Mapper, MapperConfig, MapperReport, MapperSchedule,
-        ModelEvaluator, OptMetric, TerminationPolicy,
+        CostEvaluator, EvalPool, Evaluation, Mapper, MapperConfig, MapperReport, ModelEvaluator,
+        OptMetric, TerminationPolicy,
     };
     pub use mm_mapspace::{
         Encoding, MapSpace, MapSpaceView, Mapping, MappingConstraints, ProblemSpec, ShardedMapSpace,
@@ -53,8 +53,6 @@ pub mod prelude {
         Budget, GeneticAlgorithm, Objective, ProposalSearch, RandomSearch, SearchTrace, Searcher,
         SimulatedAnnealing, SyncAction, SyncPolicy,
     };
-    #[allow(deprecated)]
-    pub use mm_serve::ServeConfig;
     pub use mm_serve::{
         AdmissionError, MappingService, NetworkReport, RequestConfig, RequestError, RequestHandle,
         ServiceConfig, ServiceProfile, SurrogateEvaluator,

@@ -169,7 +169,6 @@ fn golden_fixture_replays_identically_at_1_2_4_workers() {
             threads,
             shards: Some(4),
             shard_space: true,
-            shard_horizon: true,
             seed: 7,
             termination: TerminationPolicy::search_size(240),
             ..MapperConfig::default()
