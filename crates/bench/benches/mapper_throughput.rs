@@ -1,5 +1,5 @@
 //! Mapper throughput bench: evaluations/second of the parallel [`Mapper`]
-//! at 1/2/4/8 threads vs the classic single-threaded `Searcher` loop, on
+//! at 1/2/4/8 threads vs the classic single-threaded `drive` loop, on
 //! the ResNet Conv_4 workload, plus criterion micro-benchmarks of the
 //! per-evaluation orchestration overhead.
 //!
@@ -102,7 +102,7 @@ fn main() {
         .collect();
     println!();
     println!(
-        "mapper scaling on {} (baseline single-threaded Searcher loop: {} evals/s; {} core(s) available)",
+        "mapper scaling on {} (baseline single-threaded drive loop: {} evals/s; {} core(s) available)",
         result.problem,
         report::fmt(result.baseline_evals_per_sec),
         result.available_parallelism

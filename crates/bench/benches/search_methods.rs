@@ -12,15 +12,13 @@ use mm_bench::{train_surrogate, ExperimentScale};
 use mm_core::{CostModelObjective, GradientSearch, Phase2Config};
 use mm_mapspace::MapSpace;
 use mm_search::{
-    AnnealingConfig, Budget, DdpgAgent, DdpgConfig, GeneticAlgorithm, GeneticConfig, RandomSearch,
-    Searcher, SimulatedAnnealing,
+    drive, AnnealingConfig, Budget, DdpgAgent, DdpgConfig, GeneticAlgorithm, GeneticConfig,
+    RandomSearch, SimulatedAnnealing,
 };
 use mm_workloads::evaluated_accelerator;
 use mm_workloads::table1::{self, Algorithm};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-
-const STEPS: u64 = 64;
 
 fn bench_search_steps(c: &mut Criterion) {
     let target = table1::by_name("ResNet Conv_4").expect("table1 problem");
@@ -33,6 +31,7 @@ fn bench_search_steps(c: &mut Criterion) {
     let scale = ExperimentScale::quick();
     let (surrogate, _) = train_surrogate(Algorithm::CnnLayer, &scale, &mut rng).expect("surrogate");
 
+    let budget = Budget::iterations(64);
     let mut group = c.benchmark_group("search_steps_64");
     group.sample_size(10);
 
@@ -40,42 +39,39 @@ fn bench_search_steps(c: &mut Criterion) {
         b.iter(|| {
             let mut rng = StdRng::seed_from_u64(1);
             let mut obj = CostModelObjective::new(model.clone());
-            RandomSearch::new().search(&space, &mut obj, Budget::iterations(STEPS), &mut rng)
+            let mut searcher = RandomSearch::new();
+            drive(&mut searcher, &space, &mut obj, budget, &mut rng)
         })
     });
     group.bench_function("SA", |b| {
         b.iter(|| {
             let mut rng = StdRng::seed_from_u64(2);
             let mut obj = CostModelObjective::new(model.clone());
-            SimulatedAnnealing::new(AnnealingConfig::default()).search(
-                &space,
-                &mut obj,
-                Budget::iterations(STEPS),
-                &mut rng,
-            )
+            let mut searcher = SimulatedAnnealing::new(AnnealingConfig::default());
+            drive(&mut searcher, &space, &mut obj, budget, &mut rng)
         })
     });
     group.bench_function("GA", |b| {
         b.iter(|| {
             let mut rng = StdRng::seed_from_u64(3);
             let mut obj = CostModelObjective::new(model.clone());
-            GeneticAlgorithm::new(GeneticConfig {
+            let mut searcher = GeneticAlgorithm::new(GeneticConfig {
                 population: 16,
                 ..GeneticConfig::default()
-            })
-            .search(&space, &mut obj, Budget::iterations(STEPS), &mut rng)
+            });
+            drive(&mut searcher, &space, &mut obj, budget, &mut rng)
         })
     });
     group.bench_function("RL", |b| {
         b.iter(|| {
             let mut rng = StdRng::seed_from_u64(4);
             let mut obj = CostModelObjective::new(model.clone());
-            DdpgAgent::new(DdpgConfig {
+            let mut searcher = DdpgAgent::new(DdpgConfig {
                 warmup: 16,
                 batch_size: 8,
                 ..DdpgConfig::default()
-            })
-            .search(&space, &mut obj, Budget::iterations(STEPS), &mut rng)
+            });
+            drive(&mut searcher, &space, &mut obj, budget, &mut rng)
         })
     });
     group.bench_function("MM", |b| {
@@ -83,7 +79,7 @@ fn bench_search_steps(c: &mut Criterion) {
             .expect("family match");
         b.iter(|| {
             let mut rng = StdRng::seed_from_u64(5);
-            gs.best_mapping(Budget::iterations(STEPS), &mut rng)
+            gs.best_mapping(budget, &mut rng)
         })
     });
     group.finish();

@@ -6,8 +6,8 @@ use mm_accel::CostModel;
 use mm_core::{CostModelObjective, GradientSearch, Phase2Config, Surrogate};
 use mm_mapspace::{MapSpace, ProblemSpec};
 use mm_search::{
-    AnnealingConfig, Budget, DdpgAgent, DdpgConfig, GeneticAlgorithm, GeneticConfig, RandomSearch,
-    SearchTrace, Searcher, SimulatedAnnealing,
+    drive, AnnealingConfig, Budget, DdpgAgent, DdpgConfig, GeneticAlgorithm, GeneticConfig,
+    ProposalSearch, RandomSearch, SearchTrace, SimulatedAnnealing,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -101,13 +101,13 @@ pub fn run_comparison(
 
     let mut methods: Vec<MethodRun> = Vec::new();
 
-    let mut run_baseline = |name: &str, make: &dyn Fn() -> Box<dyn Searcher>| {
+    let mut run_baseline = |name: &str, make: &dyn Fn() -> Box<dyn ProposalSearch>| {
         let mut traces = Vec::with_capacity(runs);
         for r in 0..runs {
             let mut rng = StdRng::seed_from_u64(seed ^ (r as u64) << 16 ^ hash_name(name));
             let mut searcher = make();
             let mut objective = CostModelObjective::new(model.clone());
-            let mut trace = searcher.search(&space, &mut objective, budget, &mut rng);
+            let mut trace = drive(&mut *searcher, &space, &mut objective, budget, &mut rng);
             normalize_trace(&mut trace, lb_edp);
             traces.push(trace);
         }

@@ -2,10 +2,10 @@
 //!
 //! The experiment harness that regenerates every table and figure of the
 //! Mind Mappings evaluation (Section 5). Each figure/table has a dedicated
-//! binary under `src/bin/`; see DESIGN.md for the experiment index and
-//! EXPERIMENTS.md for paper-vs-measured results. Criterion micro-benchmarks
-//! (cost-model throughput, surrogate step cost, per-step cost of each search
-//! method, map-space operations) live under `benches/`.
+//! binary under `src/bin/`; see README.md ("Experiments") for the experiment
+//! index and EXPERIMENTS.md for paper-vs-measured results. Criterion
+//! micro-benchmarks (cost-model throughput, surrogate step cost, per-step
+//! cost of each search method, map-space operations) live under `benches/`.
 //!
 //! All experiments share:
 //!
@@ -59,12 +59,7 @@ pub fn train_surrogate(
     scale: &ExperimentScale,
     rng: &mut StdRng,
 ) -> Result<(Surrogate, TrainHistory), MindMappingsError> {
-    let arch = mm_workloads::evaluated_accelerator();
-    let config = scale.phase1_config();
-    train_surrogate_with_config(algorithm, &config, rng).map(|(s, h)| {
-        let _ = &arch;
-        (s, h)
-    })
+    train_surrogate_with_config(algorithm, &scale.phase1_config(), rng)
 }
 
 /// Train a surrogate with an explicit Phase-1 configuration (used by the

@@ -1,5 +1,5 @@
 //! Threads-vs-throughput comparison for the parallel mapper: measure
-//! evaluations/second of the classic single-threaded `Searcher` loop, then
+//! evaluations/second of the classic single-threaded `drive` loop, then
 //! of [`Mapper`] runs at increasing thread counts, under iso-per-thread
 //! evaluation budgets.
 //!
@@ -13,7 +13,7 @@ use std::sync::Arc;
 use mm_accel::CostModel;
 use mm_mapper::{EvaluatorObjective, Mapper, MapperConfig, ModelEvaluator, TerminationPolicy};
 use mm_mapspace::MapSpace;
-use mm_search::{Budget, RandomSearch, Searcher};
+use mm_search::{drive, Budget, RandomSearch};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
@@ -33,7 +33,7 @@ pub struct ScalingPoint {
     pub evals_per_sec: f64,
     /// Best primary-metric cost found.
     pub best_cost: f64,
-    /// Throughput relative to the single-threaded `Searcher` baseline.
+    /// Throughput relative to the single-threaded `drive` baseline.
     pub speedup_vs_baseline: f64,
 }
 
@@ -44,7 +44,7 @@ pub struct MapperScalingResult {
     pub problem: String,
     /// Evaluations given to each thread at every point (iso-per-thread).
     pub evals_per_thread: u64,
-    /// Evaluations/second of the classic single-threaded `Searcher` loop.
+    /// Evaluations/second of the classic single-threaded `drive` loop.
     pub baseline_evals_per_sec: f64,
     /// `std::thread::available_parallelism()` on the measuring machine.
     pub available_parallelism: usize,
@@ -121,7 +121,7 @@ impl MapperScalingResult {
 }
 
 /// Run the sweep: random search over `problem`'s map space, measuring the
-/// single-threaded `Searcher` loop first and then a [`Mapper`] at each of
+/// single-threaded `drive` loop first and then a [`Mapper`] at each of
 /// `thread_counts`, giving every thread `evals_per_thread` evaluations.
 pub fn run_mapper_scaling(
     model: &CostModel,
@@ -132,11 +132,12 @@ pub fn run_mapper_scaling(
 ) -> MapperScalingResult {
     let evaluator: Arc<dyn mm_mapper::CostEvaluator> = Arc::new(ModelEvaluator::edp(model.clone()));
 
-    // Baseline: the classic monolithic single-threaded Searcher loop.
+    // Baseline: the classic single-threaded `drive` loop.
     let mut objective = EvaluatorObjective::new(Arc::clone(&evaluator));
     let mut rng = StdRng::seed_from_u64(seed);
     let watch = Stopwatch::start();
-    let trace = RandomSearch::new().search(
+    let trace = drive(
+        &mut RandomSearch::new(),
         space,
         &mut objective,
         Budget::iterations(evals_per_thread),

@@ -3,11 +3,10 @@
 //! The paper-scale defaults follow Sections 5.3/5.5 and Appendix A; the
 //! `quick()` constructors are laptop-scale configurations (smaller network,
 //! fewer samples) used by the examples, tests, and the default benchmark
-//! harness, as documented in DESIGN.md and EXPERIMENTS.md.
+//! harness, as documented in README.md and EXPERIMENTS.md.
 
 use mm_nn::optim::StepLr;
 use mm_nn::Loss;
-use mm_search::SyncPolicy;
 use serde::{Deserialize, Serialize};
 
 /// Phase 1 (offline surrogate training) configuration.
@@ -125,19 +124,6 @@ pub struct Phase2Config {
     pub temperature_decay: f64,
     /// Number of injections between temperature decays.
     pub decay_every_injections: u64,
-    /// Number of pairwise-disjoint map-space shards the online search covers
-    /// (`MapSpace::shard`): 1 (the default) searches the full space with one
-    /// trajectory; `n > 1` splits the iteration budget exactly across `n`
-    /// disjoint shards, each searched by its own trajectory, for provably
-    /// non-overlapping coverage. Clamped to the space's `shard_capacity`.
-    pub shards: usize,
-    /// How shard trajectories re-anchor on the incumbent best
-    /// ([`SyncPolicy::Off`], the default: fully independent trajectories).
-    /// With `shards > 1` the policy is consulted before each trajectory
-    /// after the first: it may hand the running best mapping to the next
-    /// shard's [`GradientProposer`](crate::GradientProposer) as its
-    /// starting anchor.
-    pub sync: SyncPolicy,
 }
 
 impl Default for Phase2Config {
@@ -149,8 +135,6 @@ impl Default for Phase2Config {
             initial_temperature: 50.0,
             temperature_decay: 0.75,
             decay_every_injections: 50,
-            shards: 1,
-            sync: SyncPolicy::Off,
         }
     }
 }
@@ -181,8 +165,6 @@ mod tests {
         assert!((c.initial_temperature - 50.0).abs() < 1e-9);
         assert!((c.temperature_decay - 0.75).abs() < 1e-9);
         assert_eq!(c.decay_every_injections, 50);
-        assert_eq!(c.shards, 1, "sharding is off by default");
-        assert_eq!(c.sync, SyncPolicy::Off, "sync is off by default");
     }
 
     #[test]

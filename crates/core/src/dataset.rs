@@ -98,7 +98,7 @@ pub fn lower_bound_reference(arch: &Architecture, problem: &ProblemSpec) -> Vec<
 /// far fewer samples than the paper's 10 M. The inverse transform is applied
 /// by [`crate::Surrogate`] when predicting, so the public semantics
 /// (lower-bound-relative costs) are unchanged. This deviation is recorded in
-/// DESIGN.md.
+/// EXPERIMENTS.md ("Figures 5/6").
 pub fn normalized_meta_statistics(
     model: &CostModel,
     reference: &[f64],

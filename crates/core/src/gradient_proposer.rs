@@ -1,5 +1,5 @@
 //! [`GradientProposer`]: the Phase-2 gradient search as a stepwise
-//! [`ProposalSearch`], for use with `mm-mapper`'s parallel orchestration.
+//! [`ProposalSearch`].
 //!
 //! The monolithic [`GradientSearch`](crate::GradientSearch) owns its loop
 //! and queries only the surrogate; true costs are filled in afterwards. The
@@ -8,6 +8,13 @@
 //! periodic annealed random injection, exactly as Section 4.2 describes) and
 //! emits the visited mappings as proposals for the orchestrator to evaluate
 //! against the reference cost model.
+//!
+//! This is how every sharded, synced or multi-threaded Phase 2 runs:
+//! `Mapper::run(&space, evaluator, |_| Box::new(GradientProposer::new(..)))`
+//! in `mm-mapper`, with `MapperConfig { shards, shard_space: true, sync, .. }`
+//! (deployment mode: the same with `mm-serve`'s `SurrogateEvaluator`). The
+//! `Mapper` owns shards, budgets, rounds and the sync policy; `mm-core` has
+//! no driver of its own beyond the single-trajectory `GradientSearch`.
 //!
 //! Crucially, the trajectory *never* depends on the reported true costs —
 //! matching the paper's methodology, where the reference model only scores
@@ -35,11 +42,6 @@ pub struct GradientProposer {
     trajectory: Option<Trajectory>,
     /// Whether the run's starting mapping has been proposed yet.
     proposed_initial: bool,
-    /// An incumbent observed before [`ProposalSearch::begin`]: the next
-    /// trajectory starts from it instead of a random mapping (used by the
-    /// sequential sharded Phase-2 search to warm-start shard `s+1` on the
-    /// best of shards `0..=s`).
-    pending_anchor: Option<Mapping>,
 }
 
 impl GradientProposer {
@@ -64,7 +66,6 @@ impl GradientProposer {
             config,
             trajectory: None,
             proposed_initial: false,
-            pending_anchor: None,
         })
     }
 }
@@ -80,22 +81,10 @@ impl ProposalSearch for GradientProposer {
             (self.problem.num_dims(), self.problem.num_tensors()),
             "map space problem shape does not match the proposer's problem"
         );
-        // Start from a stashed incumbent when a sync policy handed one
-        // over before the run. The incumbent may come from another shard's
-        // disjoint slice, and the first proposal is emitted verbatim — so
-        // repair pins the anchor into this view before it seeds the
-        // trajectory (later steps stay in-shard via `space.project`).
-        let start = match self.pending_anchor.take() {
-            Some(mut anchor) => {
-                space.repair(&mut anchor);
-                anchor
-            }
-            None => space.random_mapping(rng),
-        };
         self.trajectory = Some(Trajectory::new(
             &self.surrogate,
             &self.problem,
-            start,
+            space.random_mapping(rng),
             self.config,
         ));
         self.proposed_initial = false;
@@ -140,10 +129,10 @@ impl ProposalSearch for GradientProposer {
     fn report(&mut self, _mapping: &Mapping, _cost: f64, _rng: &mut StdRng) {}
 
     /// Re-anchor the trajectory on the incumbent: the current point (and
-    /// its whitened encoding) jump to `mapping`. Observed before
-    /// [`begin`](ProposalSearch::begin), the incumbent is stashed and
-    /// becomes the next run's starting point (repaired into that run's
-    /// view, which may be a different shard).
+    /// its whitened encoding) jump to `mapping`, which may lie in another
+    /// shard — it is never emitted itself, and the next step projects back
+    /// into `space`. An incumbent observed before
+    /// [`begin`](ProposalSearch::begin) is ignored, as by the trait default.
     fn observe_global_best(
         &mut self,
         _space: &dyn MapSpaceView,
@@ -152,11 +141,8 @@ impl ProposalSearch for GradientProposer {
         _action: SyncAction,
         _rng: &mut StdRng,
     ) {
-        match self.trajectory.as_mut() {
-            Some(trajectory) => {
-                trajectory.move_to(&self.surrogate, &self.problem, mapping.clone());
-            }
-            None => self.pending_anchor = Some(mapping.clone()),
+        if let Some(trajectory) = self.trajectory.as_mut() {
+            trajectory.move_to(&self.surrogate, &self.problem, mapping.clone());
         }
     }
 }

@@ -41,8 +41,7 @@ use crate::MindMappingsError;
 /// reused: after the first step the network part allocates nothing.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Trajectory {
-    /// The knobs of this run (`decay_every_injections` is the run's own
-    /// cadence, which the proposer may have compressed to its horizon).
+    /// The knobs of this run.
     pub(crate) config: Phase2Config,
     /// Current (valid, projected) mapping.
     pub(crate) current: Mapping,
@@ -75,17 +74,11 @@ impl Trajectory {
     ) -> Self {
         let mut trajectory = Trajectory {
             config,
+            temperature: config.initial_temperature,
             ..Trajectory::default()
         };
-        trajectory.restart_schedule();
         trajectory.move_to(surrogate, problem, start);
         trajectory
-    }
-
-    /// Back to the initial temperature, with no injections counted.
-    pub(crate) fn restart_schedule(&mut self) {
-        self.temperature = self.config.initial_temperature;
-        self.injections = 0;
     }
 
     /// Jump to `mapping`: encode it and take the forward pass there.

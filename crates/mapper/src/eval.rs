@@ -147,7 +147,7 @@ impl<F: Fn(&Mapping) -> f64 + Send + Sync> CostEvaluator for FnEvaluator<F> {
 }
 
 /// Adapter exposing a [`CostEvaluator`] as a classic mutable
-/// [`Objective`], for single-threaded `Searcher` loops.
+/// [`Objective`], for the single-threaded `mm_search::drive` loop.
 pub struct EvaluatorObjective {
     evaluator: Arc<dyn CostEvaluator>,
     queries: u64,

@@ -53,7 +53,9 @@ pub mod metrics;
 pub mod policy;
 
 pub use eval::{CostEvaluator, EvalPool, EvaluatorObjective, FnEvaluator, ModelEvaluator};
-pub use mapper::{derive_stream_seed, Mapper, MapperConfig, MapperReport, ShardReport};
+pub use mapper::{
+    derive_stream_seed, keep_better, Mapper, MapperConfig, MapperReport, ShardReport,
+};
 pub use metrics::{Evaluation, OptMetric};
 pub use policy::{split_evenly, StopReason, TerminationPolicy};
 // The sync-policy vocabulary is defined next to the searchers (mm-search)

@@ -207,7 +207,7 @@ pub fn derive_stream_seed(master: u64, index: usize) -> u64 {
 /// `best` replaced by `candidate` when the candidate is strictly better
 /// (so ties keep the earlier one — merge in shard order for a
 /// worker-count-independent winner).
-fn keep_better(best: &mut Option<(Mapping, Evaluation)>, candidate: &(Mapping, Evaluation)) {
+pub fn keep_better(best: &mut Option<(Mapping, Evaluation)>, candidate: &(Mapping, Evaluation)) {
     let better = match best.as_ref() {
         None => true,
         Some((_, incumbent)) => candidate.1.better_than(incumbent),
@@ -272,17 +272,14 @@ impl Mapper {
         let workers = config.threads.clamp(1, shards);
 
         // Per-shard views: disjoint slices of the space when sharding the
-        // space itself, otherwise the full space per shard (RNG-stream
-        // sharding only).
-        let views: Vec<Box<dyn MapSpaceView>> = (0..shards)
-            .map(|s| -> Box<dyn MapSpaceView> {
-                if config.shard_space && shards > 1 {
-                    Box::new(space.shard(s, shards))
-                } else {
-                    Box::new(space.clone())
-                }
-            })
-            .collect();
+        // space itself, otherwise every shard searches the full space
+        // (RNG-stream sharding only).
+        let views = if config.shard_space {
+            space.shard_views(shards)
+        } else {
+            Vec::new()
+        };
+        let view = |s: usize| views.get(s).map_or(space as &dyn MapSpaceView, |v| &**v);
         let stop = AtomicBool::new(false);
         // At the spans level the whole run is one span on the "mapper"
         // track (dropped before the snapshot so it lands in the report).
@@ -291,7 +288,7 @@ impl Mapper {
         let start = Instant::now();
 
         let mut live: Vec<ShardRun> = (0..shards)
-            .map(|s| ShardRun::start(s, shards, config, &*views[s], factory(s)))
+            .map(|s| ShardRun::start(s, shards, config, view(s), factory(s)))
             .collect();
         // With no policy to consult there is nothing to rendezvous for: one
         // round of each shard's whole share.

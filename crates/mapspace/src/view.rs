@@ -414,7 +414,7 @@ impl MapSpace {
 
     /// `count` clamped into [`shard`](Self::shard)'s valid range
     /// `[1, shard_capacity()]` — the one idiom every shard-count knob
-    /// (mapper, serve, Phase 2) funnels through before calling `shard`.
+    /// (mapper, serve) funnels through before calling `shard`.
     pub fn clamp_shard_count(&self, count: usize) -> usize {
         usize::try_from(self.shard_capacity().min(count.max(1) as u128)).unwrap_or(count.max(1))
     }
@@ -454,6 +454,22 @@ impl MapSpace {
             lo,
             hi,
         }
+    }
+
+    /// The `count` views a sharded driver hands its search units: the
+    /// [`shard`](Self::shard)s of this space in index order, or the whole
+    /// space itself when `count` is 1.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `count` exceeds [`shard_capacity`](Self::shard_capacity).
+    pub fn shard_views(&self, count: usize) -> Vec<Box<dyn MapSpaceView>> {
+        if count == 1 {
+            return vec![Box::new(self.clone())];
+        }
+        (0..count)
+            .map(|s| Box::new(self.shard(s, count)) as Box<dyn MapSpaceView>)
+            .collect()
     }
 }
 

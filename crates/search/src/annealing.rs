@@ -241,7 +241,8 @@ impl ProposalSearch for SimulatedAnnealing {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::objective::{Budget, FnObjective, Objective, Searcher};
+    use crate::objective::{Budget, FnObjective, Objective};
+    use crate::proposal::drive;
     use mm_accel::{Architecture, CostModel};
     use mm_mapspace::{MapSpace, Mapping, ProblemSpec};
     use rand::SeedableRng;
@@ -259,7 +260,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0);
         let mut obj = FnObjective::new(|m: &Mapping| model.edp(m));
         let mut sa = SimulatedAnnealing::default();
-        let trace = sa.search(&space, &mut obj, Budget::iterations(100), &mut rng);
+        let trace = drive(&mut sa, &space, &mut obj, Budget::iterations(100), &mut rng);
         assert_eq!(obj.queries(), 100);
         assert_eq!(trace.len(), 100);
     }
@@ -270,7 +271,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let mut obj = FnObjective::new(|m: &Mapping| model.edp(m));
         let mut sa = SimulatedAnnealing::default();
-        let trace = sa.search(&space, &mut obj, Budget::iterations(400), &mut rng);
+        let trace = drive(&mut sa, &space, &mut obj, Budget::iterations(400), &mut rng);
         assert!(trace.best_cost < trace.points[0].cost);
         assert!(space.is_member(trace.best_mapping.as_ref().unwrap()));
     }
@@ -284,7 +285,7 @@ mod tests {
             initial_temperature: Some(1e-3),
             ..AnnealingConfig::default()
         });
-        let trace = sa.search(&space, &mut obj, Budget::iterations(200), &mut rng);
+        let trace = drive(&mut sa, &space, &mut obj, Budget::iterations(200), &mut rng);
         for w in trace.points.windows(2) {
             assert!(w[1].best_cost <= w[0].best_cost);
         }
@@ -297,7 +298,8 @@ mod tests {
         let mut obj = FnObjective::new(|m: &Mapping| model.edp(m));
         let mut sa = SimulatedAnnealing::default();
         let start = std::time::Instant::now();
-        let _ = sa.search(
+        let _ = drive(
+            &mut sa,
             &space,
             &mut obj,
             Budget::time(std::time::Duration::from_millis(50)),

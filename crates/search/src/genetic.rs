@@ -252,7 +252,8 @@ impl ProposalSearch for GeneticAlgorithm {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::objective::{Budget, FnObjective, Objective, Searcher};
+    use crate::objective::{Budget, FnObjective, Objective};
+    use crate::proposal::drive;
     use mm_accel::{Architecture, CostModel};
     use mm_mapspace::{MapSpace, ProblemSpec};
     use rand::SeedableRng;
@@ -273,7 +274,7 @@ mod tests {
             population: 10,
             ..GeneticConfig::default()
         });
-        let trace = ga.search(&space, &mut obj, Budget::iterations(77), &mut rng);
+        let trace = drive(&mut ga, &space, &mut obj, Budget::iterations(77), &mut rng);
         assert_eq!(obj.queries(), 77);
         assert_eq!(trace.len(), 77);
     }
@@ -287,7 +288,7 @@ mod tests {
             population: 16,
             ..GeneticConfig::default()
         });
-        let trace = ga.search(&space, &mut obj, Budget::iterations(400), &mut rng);
+        let trace = drive(&mut ga, &space, &mut obj, Budget::iterations(400), &mut rng);
         // Best of the initial random generation vs. final best.
         let initial_best = trace.points[..16]
             .iter()

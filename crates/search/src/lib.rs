@@ -10,18 +10,15 @@
 //!   in the spirit of the HAQ-derived RL baseline;
 //! * [`RandomSearch`] — uniform random sampling (a sanity baseline).
 //!
-//! All searchers implement the [`Searcher`] trait over an [`Objective`]
-//! (typically the `mm-accel` cost model, or the Mind Mappings surrogate) and
-//! produce a [`SearchTrace`]: the best-so-far cost after every cost-function
-//! query plus wall-clock timing, which is exactly what the iso-iteration
-//! (Figure 5) and iso-time (Figure 6) comparisons need.
-//!
-//! Since the introduction of the parallel mapper (`mm-mapper`), the trait is
-//! split in two: the stepwise [`ProposalSearch`] protocol
-//! (`propose`/`report`) is the primitive, and [`Searcher`] — the classic
-//! monolithic loop — is blanket-implemented for every `ProposalSearch` via
-//! [`proposal::drive`]. All four baselines (random search, SA, GA, and the
-//! DDPG agent) are stepwise state machines.
+//! All searchers implement the stepwise [`ProposalSearch`] protocol
+//! (`propose`/`report`): random search, SA, GA and the DDPG agent are state
+//! machines that someone else drives. [`drive`] is the classic sequential
+//! loop over an [`Objective`] (typically the `mm-accel` cost model, or the
+//! Mind Mappings surrogate); it produces a [`SearchTrace`]: the best-so-far
+//! cost after every cost-function query plus wall-clock timing, which is
+//! exactly what the iso-iteration (Figure 5) and iso-time (Figure 6)
+//! comparisons need. The parallel mapper (`mm-mapper`) and the service
+//! (`mm-serve`) drive the same searchers from their own loops.
 //!
 //! Multi-shard drivers additionally speak the **global-best sync protocol**:
 //! a [`SyncPolicy`] decides *when* a shard re-anchors on the shared
@@ -40,7 +37,7 @@ pub mod trace;
 
 pub use annealing::{AnnealingConfig, SimulatedAnnealing};
 pub use genetic::{GeneticAlgorithm, GeneticConfig};
-pub use objective::{split_evenly, Budget, FnObjective, Objective, Searcher};
+pub use objective::{split_evenly, Budget, FnObjective, Objective};
 pub use proposal::{drive, ProposalBuf, ProposalSearch};
 pub use random::RandomSearch;
 pub use rl::{DdpgAgent, DdpgConfig};
@@ -86,7 +83,7 @@ mod tests {
         mean /= samples as f64;
 
         let budget = Budget::iterations(300);
-        let mut searchers: Vec<Box<dyn Searcher>> = vec![
+        let mut searchers: Vec<Box<dyn ProposalSearch>> = vec![
             Box::new(RandomSearch::new()),
             Box::new(SimulatedAnnealing::new(AnnealingConfig::default())),
             Box::new(GeneticAlgorithm::new(GeneticConfig {
@@ -101,7 +98,7 @@ mod tests {
         ];
         for searcher in &mut searchers {
             let mut objective = FnObjective::new(|m: &Mapping| model.edp(m));
-            let trace = searcher.search(&space, &mut objective, budget, &mut rng);
+            let trace = drive(&mut **searcher, &space, &mut objective, budget, &mut rng);
             assert!(
                 trace.best_cost < mean,
                 "{} did not beat the random-mapping mean: {} vs {}",

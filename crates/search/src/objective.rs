@@ -1,12 +1,9 @@
-//! The [`Objective`] and [`Searcher`] abstractions shared by all search
-//! methods, plus the search [`Budget`].
+//! The [`Objective`] abstraction shared by all search methods, plus the
+//! search [`Budget`].
 
 use std::time::Duration;
 
-use mm_mapspace::{MapSpaceView, Mapping};
-use rand::rngs::StdRng;
-
-use crate::trace::SearchTrace;
+use mm_mapspace::Mapping;
 
 /// A cost function over mappings (Equation 1's `f(a, m)`): lower is better.
 ///
@@ -50,9 +47,8 @@ impl<F: FnMut(&Mapping) -> f64> Objective for FnObjective<F> {
 /// share silently gets a different budget.
 ///
 /// The single source of truth for budget splitting across the workspace:
-/// mapper shard shares (`TerminationPolicy::per_shard_search_size`), serve
-/// per-shard job budgets, and the Phase-2 sharded gradient search all call
-/// this.
+/// mapper shard shares (`TerminationPolicy::per_shard_search_size`) and
+/// serve per-shard job budgets both call this.
 pub fn split_evenly(total: u64, index: usize, count: usize) -> u64 {
     let count = count.max(1) as u64;
     let base = total / count;
@@ -109,24 +105,6 @@ impl Budget {
         }
         false
     }
-}
-
-/// A mapping-space search method.
-pub trait Searcher {
-    /// Short method name used in reports (e.g. `"SA"`, `"GA"`, `"RL"`,
-    /// `"MM"`).
-    fn name(&self) -> &str;
-
-    /// Run the search over `space` — the full [`mm_mapspace::MapSpace`]
-    /// or one shard of it — querying `objective` until `budget` is
-    /// exhausted, and return the best-so-far trace.
-    fn search(
-        &mut self,
-        space: &dyn MapSpaceView,
-        objective: &mut dyn Objective,
-        budget: Budget,
-        rng: &mut StdRng,
-    ) -> SearchTrace;
 }
 
 #[cfg(test)]

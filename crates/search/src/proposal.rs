@@ -1,13 +1,14 @@
 //! The stepwise search protocol: [`ProposalSearch`].
 //!
-//! The original [`Searcher`] trait is a monolithic *loop* — it owns control
-//! flow from the first random mapping to budget exhaustion, querying the
-//! objective inline. That shape cannot be parallelized: an orchestrator
-//! (like `mm-mapper`'s `Mapper`) needs to own the loop itself so it can
-//! batch evaluations onto worker pools, interleave many searchers, sync a
-//! globally shared best mapping, and apply termination policies.
+//! A monolithic search *loop* — one that owns control flow from the first
+//! random mapping to budget exhaustion, querying the objective inline —
+//! cannot be parallelized: an orchestrator (like `mm-mapper`'s `Mapper`)
+//! needs to own the loop itself so it can batch evaluations onto worker
+//! pools, interleave many searchers, sync a globally shared best mapping,
+//! and apply termination policies.
 //!
-//! [`ProposalSearch`] is the inverted-control half of the trait split:
+//! [`ProposalSearch`] is the inverted-control protocol every search method
+//! implements:
 //!
 //! * [`propose`](ProposalSearch::propose) appends candidate mappings to a
 //!   buffer (up to a driver-chosen batch size);
@@ -19,10 +20,8 @@
 //!   methods like simulated annealing, a full generation for GA, unbounded
 //!   for random search).
 //!
-//! Every `ProposalSearch` automatically *is* a [`Searcher`] through a
-//! blanket implementation driving the classic sequential loop, so existing
-//! call sites (`Box<dyn Searcher>`, the Figure 5/6 comparison harness, the
-//! examples) keep working unchanged.
+//! [`drive`] is the classic sequential loop over one searcher and one
+//! [`Objective`] (the Figure 5/6 comparison harness, the examples).
 
 use std::ops::Deref;
 use std::time::Instant;
@@ -30,7 +29,7 @@ use std::time::Instant;
 use mm_mapspace::{MapSpaceView, Mapping};
 use rand::rngs::StdRng;
 
-use crate::objective::{Budget, Objective, Searcher};
+use crate::objective::{Budget, Objective};
 use crate::sync::SyncAction;
 use crate::trace::SearchTrace;
 
@@ -180,8 +179,8 @@ pub trait ProposalSearch: Send {
 /// sequential here anyway, so small batches lose nothing.
 const DRIVE_BATCH: usize = 64;
 
-/// Drive a [`ProposalSearch`] through the classic sequential evaluate loop,
-/// producing the same [`SearchTrace`] a monolithic [`Searcher`] would.
+/// Drive a [`ProposalSearch`] through the classic sequential evaluate loop
+/// until `budget` is exhausted, and return the best-so-far [`SearchTrace`].
 pub fn drive(
     search: &mut dyn ProposalSearch,
     space: &dyn MapSpaceView,
@@ -218,22 +217,6 @@ pub fn drive(
         }
     }
     trace
-}
-
-impl<P: ProposalSearch> Searcher for P {
-    fn name(&self) -> &str {
-        ProposalSearch::name(self)
-    }
-
-    fn search(
-        &mut self,
-        space: &dyn MapSpaceView,
-        objective: &mut dyn Objective,
-        budget: Budget,
-        rng: &mut StdRng,
-    ) -> SearchTrace {
-        drive(self, space, objective, budget, rng)
-    }
 }
 
 #[cfg(test)]
@@ -280,29 +263,5 @@ mod tests {
             "driver must stay responsive under a time budget"
         );
         assert!(!trace.is_empty(), "evaluations must actually happen");
-    }
-
-    #[test]
-    fn blanket_searcher_impl_matches_drive() {
-        let problem = ProblemSpec::conv1d(64, 3);
-        let space = MapSpace::new(problem, mm_mapspace::MappingConstraints::example());
-        let mut obj_a = FnObjective::new(|m: &Mapping| m.tiles[0].iter().sum::<u64>() as f64);
-        let mut obj_b = FnObjective::new(|m: &Mapping| m.tiles[0].iter().sum::<u64>() as f64);
-        let trace_a = drive(
-            &mut RandomSearch::new(),
-            &space,
-            &mut obj_a,
-            Budget::iterations(10),
-            &mut StdRng::seed_from_u64(3),
-        );
-        let trace_b = Searcher::search(
-            &mut RandomSearch::new(),
-            &space,
-            &mut obj_b,
-            Budget::iterations(10),
-            &mut StdRng::seed_from_u64(3),
-        );
-        assert_eq!(trace_a.best_cost, trace_b.best_cost);
-        assert_eq!(trace_a.len(), trace_b.len());
     }
 }

@@ -92,7 +92,8 @@ impl ProposalSearch for RandomSearch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::objective::{Budget, FnObjective, Searcher};
+    use crate::objective::{Budget, FnObjective};
+    use crate::proposal::drive;
     use mm_accel::{Architecture, CostModel};
     use mm_mapspace::{MapSpace, Mapping, ProblemSpec};
     use rand::SeedableRng;
@@ -106,7 +107,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(11);
         let mut obj = FnObjective::new(|m: &Mapping| model.edp(m));
         let mut rs = RandomSearch::new();
-        let trace = rs.search(&space, &mut obj, Budget::iterations(50), &mut rng);
+        let trace = drive(&mut rs, &space, &mut obj, Budget::iterations(50), &mut rng);
         assert_eq!(trace.len(), 50);
         assert!(trace.best_cost.is_finite());
         assert!(trace.best_cost > 0.0);

@@ -16,8 +16,7 @@
 //! [`report`](ProposalSearch::report) turns the evaluated cost into the
 //! reward, stores the transition, and performs one learning step. Each
 //! proposal depends on the previous transition, so
-//! [`ProposalSearch::lookahead`] is 1 — and the blanket impl recovers the
-//! classic monolithic [`Searcher`](crate::Searcher) loop for free.
+//! [`ProposalSearch::lookahead`] is 1.
 //!
 //! Under a [`SyncPolicy`](crate::SyncPolicy), [`SyncAction::Adopt`]
 //! re-anchors the current episode state on the shared incumbent.
@@ -439,7 +438,8 @@ impl ProposalSearch for DdpgAgent {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::objective::{Budget, FnObjective, Searcher};
+    use crate::objective::{Budget, FnObjective};
+    use crate::proposal::drive;
     use mm_accel::{Architecture, CostModel};
     use mm_mapspace::{MapSpace, Mapping, ProblemSpec};
     use rand::SeedableRng;
@@ -493,7 +493,13 @@ mod tests {
             batch_size: 4,
             ..DdpgConfig::default()
         });
-        let trace = agent.search(&space, &mut obj, Budget::iterations(60), &mut rng);
+        let trace = drive(
+            &mut agent,
+            &space,
+            &mut obj,
+            Budget::iterations(60),
+            &mut rng,
+        );
         assert_eq!(trace.len(), 60);
         assert!(space.is_member(trace.best_mapping.as_ref().unwrap()));
         assert!(trace.best_cost.is_finite());

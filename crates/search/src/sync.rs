@@ -1,13 +1,14 @@
 // mm-lint: identity — this file feeds canonical output; the determinism rule applies.
 //! Global-best synchronization policies: [`SyncPolicy`] and [`SyncAction`].
 //!
-//! Parallel drivers (the `mm-mapper` `Mapper`, the `mm-serve` scheduler,
-//! the sharded Phase-2 search in `mm-core`) periodically surface a shared
-//! incumbent — the best mapping any search unit has found so far — to every
-//! searcher. *How* a searcher re-anchors on that incumbent dominates
-//! iso-budget quality: blind adoption collapses diversity early, never
-//! adopting wastes the information entirely, and the useful middle ground
-//! depends on the search method and the remaining budget.
+//! Two drivers consult a policy, and it means one thing in each: the
+//! `mm-mapper` `Mapper` surfaces the best mapping *any shard* has found to
+//! every shard between rounds (cross-shard), and an `mm-serve` layer job
+//! hands its searcher the job's *own* best at a fixed cadence (job-local).
+//! *How* a searcher re-anchors on that incumbent dominates iso-budget
+//! quality: blind adoption collapses diversity early, never adopting wastes
+//! the information entirely, and the useful middle ground depends on the
+//! search method and the remaining budget.
 //!
 //! [`SyncPolicy`] is the driver-side half of the protocol: at every sync
 //! point it turns shard-local state (the budget progress, the shard's own

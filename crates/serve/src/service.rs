@@ -41,7 +41,8 @@ use std::time::Instant;
 
 use mm_accel::{Architecture, CostModel};
 use mm_mapper::{
-    derive_stream_seed, split_evenly, CostEvaluator, EvalPool, ModelEvaluator, OptMetric,
+    derive_stream_seed, keep_better, split_evenly, CostEvaluator, EvalPool, ModelEvaluator,
+    OptMetric,
 };
 use mm_mapspace::{MapSpace, ProblemSpec};
 use mm_search::{ProposalSearch, RandomSearch};
@@ -647,22 +648,11 @@ impl MappingService {
                 o.expect("every shard outcome present at finalize")
             })
             .collect();
-        let mut best: Option<(mm_mapspace::Mapping, mm_mapper::Evaluation)> = None;
-        for o in &group {
-            if let Some((m, e)) = &o.best {
-                let take = match best.as_ref() {
-                    None => true,
-                    Some((_, incumbent)) => e.better_than(incumbent),
-                };
-                if take {
-                    best = Some((m.clone(), e.clone()));
-                }
-            }
+        let mut best = None;
+        for shard_best in group.iter().filter_map(|o| o.best.as_ref()) {
+            keep_better(&mut best, shard_best);
         }
-        let (best_mapping, best_metrics) = match best {
-            Some((m, e)) => (Some(m), Some(e)),
-            None => (None, None),
-        };
+        let (best_mapping, best_metrics) = best.unzip();
         let first = &group[0];
         // Shard convergence curves merge in shard order (round-robin global
         // eval indexing), mirroring the mapper's report.
@@ -935,27 +925,23 @@ impl MappingService {
     ) -> Vec<JobSpec> {
         let space = MapSpace::new(problem.clone(), self.arch.mapping_constraints());
         let shards = space.clamp_shard_count(config.shards.max(1));
-        (0..shards)
-            .map(|s| {
-                let view: Box<dyn mm_mapspace::MapSpaceView> = if shards > 1 {
-                    Box::new(space.shard(s, shards))
-                } else {
-                    Box::new(space.clone())
-                };
-                JobSpec {
-                    request,
-                    weight,
-                    space: view,
-                    evaluator: (self.evaluator_factory)(&self.arch, problem),
-                    search: (self.search_factory)(),
-                    // Seed from the fingerprint and shard, not the layer
-                    // position: a layer's result is independent of where it
-                    // appears, so cache replay is exactly what a fresh
-                    // search would have produced.
-                    seed: derive_stream_seed(config.seed ^ fingerprint, s),
-                    budget: split_evenly(config.search_size, s, shards),
-                    sync: config.sync,
-                }
+        space
+            .shard_views(shards)
+            .into_iter()
+            .enumerate()
+            .map(|(s, view)| JobSpec {
+                request,
+                weight,
+                space: view,
+                evaluator: (self.evaluator_factory)(&self.arch, problem),
+                search: (self.search_factory)(),
+                // Seed from the fingerprint and shard, not the layer
+                // position: a layer's result is independent of where it
+                // appears, so cache replay is exactly what a fresh
+                // search would have produced.
+                seed: derive_stream_seed(config.seed ^ fingerprint, s),
+                budget: split_evenly(config.search_size, s, shards),
+                sync: config.sync,
             })
             .collect()
     }

@@ -45,7 +45,7 @@ fn main() {
     let mut results: Vec<(String, f64)> = Vec::new();
 
     // Black-box baselines query the reference cost model.
-    let mut baselines: Vec<Box<dyn Searcher>> = vec![
+    let mut baselines: Vec<Box<dyn ProposalSearch>> = vec![
         Box::new(RandomSearch::new()),
         Box::new(SimulatedAnnealing::new(AnnealingConfig::default())),
         Box::new(GeneticAlgorithm::new(GeneticConfig::default())),
@@ -53,7 +53,8 @@ fn main() {
     ];
     for searcher in &mut baselines {
         let mut objective = CostModelObjective::new(model.clone());
-        let trace = searcher.search(
+        let trace = drive(
+            &mut **searcher,
             &space,
             &mut objective,
             Budget::iterations(iterations),

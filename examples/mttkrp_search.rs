@@ -44,7 +44,13 @@ fn main() {
         let space = mm.map_space(&problem);
         let mut sa = SimulatedAnnealing::default();
         let mut objective = CostModelObjective::new(model.clone());
-        let sa_trace = sa.search(&space, &mut objective, Budget::iterations(1_500), &mut rng);
+        let sa_trace = drive(
+            &mut sa,
+            &space,
+            &mut objective,
+            Budget::iterations(1_500),
+            &mut rng,
+        );
 
         println!(
             "  algorithmic minimum EDP : {:.3e} J·s",

@@ -22,8 +22,8 @@
 //! * [`workloads`] — CNN-Layer, MTTKRP, 1D-Conv, the Table 1 problems, and
 //!   whole-network workloads.
 //!
-//! See the repository README for a quickstart and `DESIGN.md` /
-//! `EXPERIMENTS.md` for the reproduction methodology.
+//! See the repository README for a quickstart and `EXPERIMENTS.md` for the
+//! reproduction methodology.
 
 pub use mm_accel as accel;
 pub use mm_core as core;
@@ -50,7 +50,7 @@ pub mod prelude {
         Encoding, MapSpace, MapSpaceView, Mapping, MappingConstraints, ProblemSpec, ShardedMapSpace,
     };
     pub use mm_search::{
-        Budget, GeneticAlgorithm, Objective, ProposalSearch, RandomSearch, SearchTrace, Searcher,
+        drive, Budget, GeneticAlgorithm, Objective, ProposalSearch, RandomSearch, SearchTrace,
         SimulatedAnnealing, SyncAction, SyncPolicy,
     };
     pub use mm_serve::{

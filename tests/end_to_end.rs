@@ -82,7 +82,8 @@ fn mind_mappings_is_competitive_with_simulated_annealing_iso_iteration() {
     // SA queries the true cost model.
     let mut sa = SimulatedAnnealing::new(AnnealingConfig::default());
     let mut objective = CostModelObjective::new(model.clone());
-    let sa_trace = sa.search(
+    let sa_trace = drive(
+        &mut sa,
         &space,
         &mut objective,
         Budget::iterations(iterations),

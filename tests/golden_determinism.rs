@@ -16,9 +16,11 @@
 //! strings never touch: surrogate training (`mm-nn`) and the Phase-2
 //! gradient search (`mm-core`), to the bit. A change to the matrix kernels,
 //! the forward/backward passes, the whitened encoding or the Section-4.2
-//! step shows up as a diff of `gradient_search_canonical.txt`. It was
-//! generated on the commit *before* PR 12 rewrote the kernels and the step,
-//! and passed unchanged after.
+//! step shows up as a diff of `gradient_search_canonical.txt`. Its `weights`
+//! lines and `shards 1` blocks were generated on the commit *before* PR 12
+//! rewrote the kernels and the step, and have not moved since; the `drive`
+//! and `mapper` blocks pin the step's other caller, `GradientProposer`,
+//! under the two drivers that run it.
 //!
 //! Regenerate deliberately with `MM_BLESS=1 cargo test --test
 //! golden_determinism` after an intentional behaviour change, and commit
@@ -31,12 +33,14 @@
 
 use std::fmt::Write as _;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use mind_mappings::prelude::*;
 use mind_mappings::workloads::conv1d::Conv1dFamily;
 use mind_mappings::workloads::mttkrp::MttkrpFamily;
 use mm_core::generate_training_set;
+use mm_mapper::MapperReport;
 use mm_mapspace::problem::ProblemFamily;
 use mm_mapspace::{ShardAxis, ShardAxisKind};
 use rand::rngs::StdRng;
@@ -161,20 +165,128 @@ fn weight_checksum(surrogate: &Surrogate) -> u64 {
     hash
 }
 
-/// Train a surrogate for `family` from `train_seed` and append its canonical
-/// lines to `out`: a checksum of every trained weight, and for two search
-/// seeds each through `MindMappings::search_with_budget` — unsharded
-/// (`GradientSearch`) and over 4 shards (`GradientProposer` under `drive`),
-/// the two callers of the shared step — the trace length,
+/// Append one search's canonical lines to `out`: the trace length,
 /// `best_cost.to_bits()`, the best mapping and every 50th trace point.
-fn snapshot<F: ProblemFamily>(
-    out: &mut String,
-    label: &str,
+fn write_trace(out: &mut String, header: &str, trace: &SearchTrace) {
+    writeln!(
+        out,
+        "{header} len {} best {:016x}",
+        trace.len(),
+        trace.best_cost.to_bits(),
+    )
+    .unwrap();
+    writeln!(out, "  best_mapping {:?}", trace.best_mapping).unwrap();
+    for p in trace.points.iter().step_by(POINT_STRIDE) {
+        writeln!(
+            out,
+            "  point {} cost {:016x} best {:016x}",
+            p.queries,
+            p.cost.to_bits(),
+            p.best_cost.to_bits(),
+        )
+        .unwrap();
+    }
+}
+
+/// A [`GradientProposer`] that checks every proposal against the view it
+/// was asked on, and counts the incumbents it is handed.
+struct InShard {
+    inner: GradientProposer,
+    adoptions: Arc<AtomicU64>,
+}
+
+impl ProposalSearch for InShard {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+
+    fn begin(&mut self, space: &dyn MapSpaceView, horizon: Option<u64>, rng: &mut StdRng) {
+        self.inner.begin(space, horizon, rng);
+    }
+
+    fn lookahead(&self) -> usize {
+        self.inner.lookahead()
+    }
+
+    fn propose(
+        &mut self,
+        space: &dyn MapSpaceView,
+        rng: &mut StdRng,
+        max: usize,
+        out: &mut mm_search::ProposalBuf,
+    ) {
+        let before = out.len();
+        self.inner.propose(space, rng, max, out);
+        for mapping in &out[before..] {
+            assert!(
+                space.is_member(mapping),
+                "proposal outside its shard: {mapping:?}"
+            );
+        }
+    }
+
+    fn report(&mut self, mapping: &Mapping, cost: f64, rng: &mut StdRng) {
+        self.inner.report(mapping, cost, rng);
+    }
+
+    fn observe_global_best(
+        &mut self,
+        space: &dyn MapSpaceView,
+        mapping: &Mapping,
+        cost: f64,
+        action: SyncAction,
+        rng: &mut StdRng,
+    ) {
+        self.adoptions.fetch_add(1, Ordering::Relaxed);
+        self.inner
+            .observe_global_best(space, mapping, cost, action, rng);
+    }
+}
+
+const MAPPER_SHARDS: usize = 4;
+/// Not a multiple of the shard count, so the shares differ.
+const MAPPER_SEARCH_SIZE: u64 = 302;
+
+/// Sharded Phase 2: the `Mapper` over 4 pairwise-disjoint map-space shards,
+/// one [`GradientProposer`] trajectory each, scored by the reference cost
+/// model as they are visited.
+fn mapper_phase2(
+    surrogate: &Surrogate,
+    problem: &ProblemSpec,
+    threads: usize,
+    sync: SyncPolicy,
+    adoptions: &Arc<AtomicU64>,
+) -> MapperReport {
+    let arch = surrogate.arch();
+    let space = MapSpace::new(problem.clone(), arch.mapping_constraints());
+    let evaluator: Arc<dyn CostEvaluator> = Arc::new(ModelEvaluator::edp(CostModel::new(
+        arch.clone(),
+        problem.clone(),
+    )));
+    Mapper::new(MapperConfig {
+        threads,
+        shards: Some(MAPPER_SHARDS),
+        shard_space: true,
+        seed: 7,
+        sync,
+        termination: TerminationPolicy::search_size(MAPPER_SEARCH_SIZE),
+        ..MapperConfig::default()
+    })
+    .run(&space, evaluator, |_| {
+        Box::new(InShard {
+            inner: GradientProposer::new(surrogate, problem.clone(), Phase2Config::default())
+                .expect("family match"),
+            adoptions: Arc::clone(adoptions),
+        })
+    })
+}
+
+/// Train the fixture's surrogate for `family` from `train_seed`.
+fn train<F: ProblemFamily>(
     arch: Architecture,
     family: &F,
     train_seed: u64,
-    problem: &ProblemSpec,
-) {
+) -> (Surrogate, mm_nn::TrainHistory) {
     let mut rng = StdRng::seed_from_u64(train_seed);
     let config = phase1();
     let dataset = generate_training_set(
@@ -185,8 +297,30 @@ fn snapshot<F: ProblemFamily>(
         &mut rng,
     )
     .expect("training set");
-    let (surrogate, history) =
-        Surrogate::train(arch, &dataset, &config, &mut rng).expect("surrogate");
+    Surrogate::train(arch, &dataset, &config, &mut rng).expect("surrogate")
+}
+
+const CONV1D_TRAIN_SEED: u64 = 0x5EED_C0DE;
+
+fn conv1d_problem() -> ProblemSpec {
+    ProblemSpec::conv1d(1777, 7)
+}
+
+/// Train a surrogate for `family` from `train_seed` and append its canonical
+/// lines to `out`: a checksum of every trained weight, then — so both
+/// callers of the shared Section-4.2 step stay pinned — for two search seeds
+/// each the trace of `MindMappings::search_with_budget` (`GradientSearch`)
+/// and of `drive` over a `GradientProposer` on the full space, and the
+/// canonical report of the [`mapper_phase2`] run under `Anchor`.
+fn snapshot<F: ProblemFamily>(
+    out: &mut String,
+    label: &str,
+    arch: Architecture,
+    family: &F,
+    train_seed: u64,
+    problem: &ProblemSpec,
+) {
+    let (surrogate, history) = train(arch.clone(), family, train_seed);
     writeln!(
         out,
         "{label} weights {:016x} train_loss {:08x} test_loss {:08x}",
@@ -196,43 +330,52 @@ fn snapshot<F: ProblemFamily>(
     )
     .unwrap();
 
-    for shards in [1usize, 4] {
-        let mm = MindMappings::from_surrogate(
-            surrogate.clone(),
-            Phase2Config {
-                shards,
-                ..Phase2Config::default()
-            },
+    let mm = MindMappings::from_surrogate(surrogate.clone(), Phase2Config::default());
+    for seed in SEARCH_SEEDS {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let trace = mm
+            .search_with_budget(problem, Budget::iterations(SEARCH_STEPS), &mut rng)
+            .expect("search");
+        write_trace(out, &format!("{label} shards 1 seed {seed}"), &trace);
+    }
+
+    let space = mm.map_space(problem);
+    for seed in SEARCH_SEEDS {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut proposer =
+            GradientProposer::new(&surrogate, problem.clone(), Phase2Config::default())
+                .expect("family match");
+        let mut objective = CostModelObjective::new(CostModel::new(arch.clone(), problem.clone()));
+        let trace = drive(
+            &mut proposer,
+            &space,
+            &mut objective,
+            Budget::iterations(SEARCH_STEPS),
+            &mut rng,
         );
-        for seed in SEARCH_SEEDS {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let trace = mm
-                .search_with_budget(problem, Budget::iterations(SEARCH_STEPS), &mut rng)
-                .expect("search");
-            writeln!(
-                out,
-                "{label} shards {shards} seed {seed} len {} best {:016x}",
-                trace.len(),
-                trace.best_cost.to_bits(),
-            )
-            .unwrap();
-            writeln!(out, "  best_mapping {:?}", trace.best_mapping).unwrap();
-            for p in trace.points.iter().step_by(POINT_STRIDE) {
-                writeln!(
-                    out,
-                    "  point {} cost {:016x} best {:016x}",
-                    p.queries,
-                    p.cost.to_bits(),
-                    p.best_cost.to_bits(),
-                )
-                .unwrap();
-            }
-        }
+        write_trace(out, &format!("{label} drive seed {seed}"), &trace);
+    }
+
+    let report = mapper_phase2(
+        &surrogate,
+        problem,
+        2,
+        SyncPolicy::Anchor,
+        &Arc::new(AtomicU64::new(0)),
+    );
+    writeln!(
+        out,
+        "{label} mapper shards {MAPPER_SHARDS} search_size {MAPPER_SEARCH_SIZE}"
+    )
+    .unwrap();
+    for line in report.canonical_string().lines() {
+        writeln!(out, "  {line}").unwrap();
     }
 }
 
 /// The pinned gradient-search scenario: a Conv1d and an MTTKRP surrogate
-/// trained from fixed seeds, searched unsharded and over 4 shards.
+/// trained from fixed seeds, searched by `GradientSearch`, by `drive` over a
+/// `GradientProposer`, and by the `Mapper` over 4 shards of them.
 #[test]
 fn gradient_search_weights_and_traces_match_fixture() {
     let mut actual = String::new();
@@ -241,8 +384,8 @@ fn gradient_search_weights_and_traces_match_fixture() {
         "conv1d",
         Architecture::example(),
         &Conv1dFamily::default(),
-        0x5EED_C0DE,
-        &ProblemSpec::conv1d(1777, 7),
+        CONV1D_TRAIN_SEED,
+        &conv1d_problem(),
     );
     snapshot(
         &mut actual,
@@ -253,6 +396,37 @@ fn gradient_search_weights_and_traces_match_fixture() {
         &MttkrpShape::mttkrp_0().into_problem(),
     );
     check_fixture("gradient_search_canonical.txt", &actual);
+}
+
+/// Sharded Phase 2 is a `Mapper` run: it spends exactly `search_size`, no
+/// trajectory leaves its shard — not even after adopting another shard's
+/// incumbent — and the report does not depend on the thread count.
+#[test]
+fn mapper_driven_phase2_is_exact_in_shard_and_thread_count_independent() {
+    let (surrogate, _) = train(
+        Architecture::example(),
+        &Conv1dFamily::default(),
+        CONV1D_TRAIN_SEED,
+    );
+    for sync in [SyncPolicy::Off, SyncPolicy::Anchor] {
+        let adoptions = Arc::new(AtomicU64::new(0));
+        let reports =
+            [1, 2, 4].map(|t| mapper_phase2(&surrogate, &conv1d_problem(), t, sync, &adoptions));
+        for report in &reports {
+            assert_eq!(report.total_evaluations, MAPPER_SEARCH_SIZE, "{sync}");
+            assert_eq!(report.shards.len(), MAPPER_SHARDS, "{sync}");
+            assert_eq!(
+                report.canonical_string(),
+                reports[0].canonical_string(),
+                "{sync}"
+            );
+        }
+        assert_eq!(
+            adoptions.load(Ordering::Relaxed) > 0,
+            sync.is_enabled(),
+            "{sync}: incumbents are handed over under a policy, and only then"
+        );
+    }
 }
 
 /// Acceptance criterion of the multi-axis refactor: on Table 1 layers the
