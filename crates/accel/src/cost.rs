@@ -1,13 +1,14 @@
 //! The accelerator cost model: energy, cycles, utilization, and EDP for a
 //! mapping (the reference cost function `f(a, m)` of Equation 1).
 
-use mm_mapspace::mapping::Level;
+use mm_mapspace::mapping::{div_ceil, Level};
+use mm_mapspace::problem::TensorDim;
 use mm_mapspace::{Mapping, ProblemSpec};
 use serde::{Deserialize, Serialize};
 
 use crate::arch::Architecture;
 use crate::bound::AlgorithmicMinimum;
-use crate::reuse::{count_accesses_into, AccessCounts, LoopSpec, TiledNest};
+use crate::reuse::{AccessCounts, ReuseFactors};
 
 /// Full cost breakdown for one mapping, matching the "meta-statistics" output
 /// representation of Section 4.1.3: per-level, per-tensor energy plus total
@@ -79,14 +80,31 @@ pub struct CostSummary {
     pub last_level_accesses: u128,
 }
 
-/// Reusable working memory for [`CostModel::evaluate_into`]: the lowered
-/// loop nest, access counts, and energy rows of the *most recent*
+/// What the current mapping makes of one problem dimension: the tile
+/// extents the footprints are built from and the trip counts of the two
+/// loop levels above L1. Everything per-tensor is derived from these.
+#[derive(Debug, Clone, Copy, Default)]
+struct DimTerms {
+    /// L1 (per-PE) tile extent.
+    l1: u64,
+    /// Extent read from L2 at once: the L1 tile across the PEs assigned to
+    /// the dimension, clipped to the dimension.
+    spatial: u64,
+    /// Extent resident in L2: the L2 tile, at least the spatial tile.
+    l2: u64,
+    /// Trip count of the dimension's L2-level loop.
+    l2_trips: u64,
+    /// Trip count of the dimension's DRAM-level loop.
+    dram_trips: u64,
+}
+
+/// Reusable working memory for [`CostModel::evaluate_into`]: the
+/// per-dimension terms, access counts, and energy rows of the *most recent*
 /// evaluation. One scratch per evaluation thread; after warmup (first call
 /// per problem shape) evaluations through it perform zero heap allocations.
 #[derive(Debug, Clone, Default)]
 pub struct EvalScratch {
-    nest: TiledNest,
-    loops_above_l1: Vec<LoopSpec>,
+    dims: Vec<DimTerms>,
     counts: AccessCounts,
     energy_pj: Vec<Vec<f64>>,
 }
@@ -208,6 +226,86 @@ impl BatchCosts {
     }
 }
 
+/// Everything [`CostModel::evaluate_into`] needs that depends on the problem
+/// and the architecture alone, lowered once by [`CostModel::new`] so that no
+/// evaluation re-derives it.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+struct Lowered {
+    /// `relevant[t * num_dims + d]`: tensor `t` depends on dimension `d`
+    /// ([`TensorSpec::is_relevant`](mm_mapspace::problem::TensorSpec::is_relevant),
+    /// tabulated).
+    relevant: Vec<bool>,
+    /// Index of the output tensor.
+    output: usize,
+    /// `ProblemSpec::total_macs` as the float the utilization divides.
+    total_macs: f64,
+    /// Energy per access (pJ) by [`Level::index`].
+    energy_per_access_pj: [f64; 3],
+    /// Bandwidth (words per cycle, floored away from zero) by [`Level::index`].
+    bandwidth: [f64; 3],
+}
+
+impl Lowered {
+    fn new(arch: &Architecture, problem: &ProblemSpec) -> Self {
+        // `Level::ALL` is in `Level::index` order.
+        let levels = Level::ALL.map(|level| arch.level(level));
+        let mut relevant = Vec::with_capacity(problem.num_tensors() * problem.num_dims());
+        for tensor in &problem.tensors {
+            relevant.extend(problem.dims().map(|d| tensor.is_relevant(d)));
+        }
+        Lowered {
+            relevant,
+            output: problem.output_tensor(),
+            total_macs: problem.total_macs() as f64,
+            energy_per_access_pj: levels.map(|l| l.energy_per_access_pj),
+            bandwidth: levels.map(|l| l.bandwidth_words_per_cycle.max(1e-9)),
+        }
+    }
+}
+
+/// Outer-to-inner walk over the temporal loops above a tensor's tile: the
+/// stationarity analysis of [`reuse_factors`](crate::reuse::reuse_factors)
+/// as running state, so one pass over the DRAM order and then the L2 order
+/// yields the factors of both loop blocks (the loops above L1 are DRAM ++ L2,
+/// so the DRAM block's factors are the state at the boundary).
+struct ReuseWalk {
+    /// Product of every trip count walked so far.
+    prefix: u128,
+    /// `prefix` as of the innermost relevant loop that iterates (> 1 trip):
+    /// the loops inside it are irrelevant and reuse the tile.
+    reloads: u128,
+    /// Product of the relevant trip counts.
+    distinct: u128,
+}
+
+impl ReuseWalk {
+    fn new() -> Self {
+        ReuseWalk {
+            prefix: 1,
+            reloads: 1,
+            distinct: 1,
+        }
+    }
+
+    #[inline]
+    fn step(&mut self, trips: u64, relevant: bool) {
+        self.prefix *= trips as u128;
+        if relevant {
+            self.distinct *= trips as u128;
+            if trips > 1 {
+                self.reloads = self.prefix;
+            }
+        }
+    }
+
+    fn factors(&self) -> ReuseFactors {
+        ReuseFactors {
+            reloads: self.reloads.max(1),
+            distinct: self.distinct.max(1),
+        }
+    }
+}
+
 /// The analytical cost model: an [`Architecture`] bound to a [`ProblemSpec`].
 ///
 /// Cloneable and cheap to construct; evaluation is a pure function of the
@@ -217,16 +315,19 @@ pub struct CostModel {
     arch: Architecture,
     problem: ProblemSpec,
     lower_bound: AlgorithmicMinimum,
+    lowered: Lowered,
 }
 
 impl CostModel {
     /// Bind an architecture to a problem.
     pub fn new(arch: Architecture, problem: ProblemSpec) -> Self {
         let lower_bound = AlgorithmicMinimum::compute(&arch, &problem);
+        let lowered = Lowered::new(&arch, &problem);
         Self {
             arch,
             problem,
             lower_bound,
+            lowered,
         }
     }
 
@@ -263,31 +364,125 @@ impl CostModel {
     /// Per-level/per-tensor detail stays readable in `scratch` until the
     /// next call.
     ///
-    /// Bit-identical to [`evaluate`](Self::evaluate) (which is a thin
-    /// allocating wrapper around this): same arithmetic in the same order.
+    /// This is the one cost kernel ([`evaluate`](Self::evaluate) is a thin
+    /// allocating wrapper around it). It computes what the reference walk
+    /// [`reuse::count_accesses`](crate::reuse::count_accesses) computes —
+    /// same integer widths, same floating-point order, so every result is
+    /// bit-identical to it — in one pass: each dimension's extents and trip
+    /// counts once, then per tensor the three footprints from those extents
+    /// and both loop blocks' reuse factors from a single outer-to-inner
+    /// walk. What depends on the problem alone comes from the table built
+    /// by [`new`](Self::new).
     // mm-lint: hot-path — the steady-state eval loop must not allocate.
     pub fn evaluate_into(&self, scratch: &mut EvalScratch, mapping: &Mapping) -> CostSummary {
         let p = &self.problem;
         let a = &self.arch;
+        let low = &self.lowered;
+        let nd = p.num_dims();
         let nt = p.num_tensors();
-        scratch.nest.fill_from_mapping(p, mapping);
-        scratch
-            .nest
-            .loops_above_l1_into(&mut scratch.loops_above_l1);
-        count_accesses_into(
-            p,
-            mapping,
-            &scratch.nest,
-            &scratch.loops_above_l1,
-            &mut scratch.counts,
-        );
+
+        // Per dimension: extents, trip counts, and the two whole-mapping
+        // products (padded iteration space, PEs in use).
+        let (l1_tiles, l2_tiles) = (&mapping.tiles[0][..nd], &mapping.tiles[1][..nd]);
+        let parallel = &mapping.parallel[..nd];
+        scratch.dims.resize(nd, DimTerms::default());
+        let mut padded_macs = 1u128;
+        let mut active_pes = 1u64;
+        for (d, terms) in scratch.dims.iter_mut().enumerate() {
+            let size = p.dim_sizes[d];
+            let l1 = l1_tiles[d].max(1);
+            let l2 = l2_tiles[d].max(1);
+            let par = parallel[d].max(1);
+            let spatial_tile = l1.saturating_mul(par);
+            let l2_trips = div_ceil(l2, spatial_tile);
+            let dram_trips = div_ceil(size, l2);
+            *terms = DimTerms {
+                l1,
+                spatial: spatial_tile.min(size.max(1)),
+                l2: l2.max(spatial_tile),
+                l2_trips,
+                dram_trips,
+            };
+            padded_macs *= (l1 * par * l2_trips * dram_trips) as u128;
+            active_pes = active_pes.saturating_mul(par);
+        }
+        let dims = scratch.dims.as_slice();
+        let dram_order = mapping.order(Level::Dram);
+        let l2_order = mapping.order(Level::L2);
+
+        // Per tensor: footprints, reuse factors, and the word counts that
+        // cross each level boundary.
+        let counts = &mut scratch.counts;
+        counts.reset(nt);
+        let active = active_pes as u128;
+        for (t, tensor) in p.tensors.iter().enumerate() {
+            let relevant = &low.relevant[t * nd..(t + 1) * nd];
+
+            // The three footprints in one pass over the tensor's coordinates
+            // (`TensorSpec::footprint` three times over reads 2 % slower).
+            let (mut l1_fp, mut spatial_fp, mut l2_fp) = (1u64, 1u64, 1u64);
+            for coord in &tensor.dims {
+                let (e1, es, e2) = match *coord {
+                    TensorDim::Single(d) => {
+                        let x = &dims[d.0];
+                        (x.l1, x.spatial, x.l2)
+                    }
+                    // Sliding window `a + b`: extents add, minus the overlap.
+                    TensorDim::Compound(a, b) => {
+                        let (x, y) = (&dims[a.0], &dims[b.0]);
+                        (
+                            (x.l1 + y.l1).saturating_sub(1),
+                            (x.spatial + y.spatial).saturating_sub(1),
+                            (x.l2 + y.l2).saturating_sub(1),
+                        )
+                    }
+                };
+                l1_fp = l1_fp.saturating_mul(e1.max(1));
+                spatial_fp = spatial_fp.saturating_mul(es.max(1));
+                l2_fp = l2_fp.saturating_mul(e2.max(1));
+            }
+            let (l1_fp, spatial_fp, l2_fp) = (l1_fp as u128, spatial_fp as u128, l2_fp as u128);
+
+            let mut walk = ReuseWalk::new();
+            for &d in dram_order {
+                walk.step(dims[d].dram_trips, relevant[d]);
+            }
+            let dram = walk.factors();
+            for &d in l2_order {
+                walk.step(dims[d].l2_trips, relevant[d]);
+            }
+            let inner = walk.factors();
+
+            // DRAM <-> L2 moves L2 tiles, L2 <-> L1 spatial tiles on the L2
+            // side and one L1 tile per active PE on the L1 side; the
+            // datapath reads one operand per MAC. Outputs are written back
+            // on every (re)load and re-read whenever a tile is revisited
+            // (see `reuse::count_accesses` for the argument).
+            let fills = inner.reloads * l1_fp * active;
+            if t == low.output {
+                let dram_spills = dram.reloads.saturating_sub(dram.distinct);
+                let inner_spills = inner.reloads.saturating_sub(inner.distinct);
+                counts.dram_writes[t] = dram.reloads * l2_fp;
+                counts.dram_reads[t] = dram_spills * l2_fp;
+                counts.l2_reads[t] = dram.reloads * l2_fp + inner_spills * spatial_fp;
+                counts.l2_writes[t] = dram_spills * l2_fp + inner.reloads * spatial_fp;
+                counts.l1_reads[t] = fills + padded_macs;
+                counts.l1_writes[t] = inner_spills * l1_fp * active + padded_macs;
+            } else {
+                counts.dram_reads[t] = dram.reloads * l2_fp;
+                counts.l2_writes[t] = dram.reloads * l2_fp;
+                counts.l2_reads[t] = inner.reloads * spatial_fp;
+                counts.l1_writes[t] = fills;
+                counts.l1_reads[t] = padded_macs;
+            }
+        }
         let accesses = &scratch.counts;
 
         // mm-lint: allow(hot-path): Vec::new is alloc-free; the three rows
         // are created once per scratch and reused across calls.
         scratch.energy_pj.resize_with(3, Vec::new);
         for level in Level::ALL {
-            let epa = a.level(level).energy_per_access_pj;
+            let epa = low.energy_per_access_pj[level.index()];
             let row = &mut scratch.energy_pj[level.index()];
             row.clear();
             row.resize(nt, 0.0);
@@ -296,7 +491,7 @@ impl CostModel {
             }
         }
 
-        let padded_macs = mapping.padded_macs(p) as f64;
+        let padded_macs = padded_macs as f64;
         let compute_energy_pj = padded_macs * a.mac_energy_pj;
         let total_energy_pj: f64 =
             scratch.energy_pj.iter().flatten().sum::<f64>() + compute_energy_pj;
@@ -306,21 +501,20 @@ impl CostModel {
         // an explicit worst-case cost rather than a silently clamped
         // denominator. `active_pes * rate` is a product of integers, so the
         // guard changes nothing for any functioning configuration.
-        let active_pes = (mapping.active_pes().min(a.num_pes)) as f64;
+        let active_pes = (active_pes.min(a.num_pes)) as f64;
         let mac_rate = active_pes * a.macs_per_pe_per_cycle as f64;
+        let level_totals = Level::ALL.map(|level| accesses.total_at(level));
         let (cycles, utilization) = if mac_rate > 0.0 {
             let mut cycles = padded_macs / mac_rate;
             // Bandwidth-limited time per level.
-            for level in Level::ALL {
-                let bw = a.level(level).bandwidth_words_per_cycle.max(1e-9);
-                let mem_cycles = accesses.total_at(level) as f64 / bw;
+            for (&total, bandwidth) in level_totals.iter().zip(low.bandwidth) {
+                let mem_cycles = total as f64 / bandwidth;
                 if mem_cycles > cycles {
                     cycles = mem_cycles;
                 }
             }
-            let actual_macs = p.total_macs() as f64;
             let utilization =
-                ((actual_macs / cycles) / a.peak_macs_per_cycle() as f64).clamp(0.0, 1.0);
+                ((low.total_macs / cycles) / a.peak_macs_per_cycle() as f64).clamp(0.0, 1.0);
             (cycles, utilization)
         } else {
             (f64::INFINITY, 0.0)
@@ -336,13 +530,13 @@ impl CostModel {
             cycles,
             utilization,
             edp,
-            last_level_accesses: accesses.total_at(Level::Dram),
+            last_level_accesses: level_totals[Level::Dram.index()],
         }
     }
 
     /// Batch form of [`evaluate_into`](Self::evaluate_into): score every
     /// mapping through one scratch, appending structure-of-arrays cost
-    /// columns to `out` (cleared first). The nest lowering, count, and
+    /// columns to `out` (cleared first). The per-dimension, count, and
     /// energy buffers are reused across the whole batch, so the per-mapping
     /// steady state allocates nothing beyond the (caller-reusable) output
     /// columns.
@@ -525,38 +719,82 @@ mod tests {
     }
 
     #[test]
-    fn evaluate_into_is_bit_identical_to_evaluate() {
+    fn reuse_walk_yields_both_blocks_factors() {
+        // Random loop blocks and relevance masks: the walk's state at the
+        // boundary is `reuse_factors` of the outer block, its final state
+        // `reuse_factors` of outer ++ inner.
+        use crate::reuse::{reuse_factors, LoopSpec};
+        use mm_mapspace::problem::DimId;
+        use rand::Rng;
+        let mut rng = StdRng::seed_from_u64(9);
+        for _ in 0..500 {
+            let nd = rng.gen_range(1..=6usize);
+            let relevant: Vec<bool> = (0..nd).map(|_| rng.gen_bool(0.5)).collect();
+            let block = |rng: &mut StdRng| -> Vec<LoopSpec> {
+                (0..nd)
+                    .map(|d| LoopSpec {
+                        dim: DimId(d),
+                        // Unit trip counts are common and matter: a relevant
+                        // loop that does not iterate ends no reuse run.
+                        trips: if rng.gen_bool(0.4) {
+                            1
+                        } else {
+                            rng.gen_range(2..9)
+                        },
+                    })
+                    .collect()
+            };
+            let (outer, inner) = (block(&mut rng), block(&mut rng));
+            let mut walk = ReuseWalk::new();
+            for l in &outer {
+                walk.step(l.trips, relevant[l.dim.0]);
+            }
+            assert_eq!(walk.factors(), reuse_factors(&outer, |d| relevant[d.0]));
+            for l in &inner {
+                walk.step(l.trips, relevant[l.dim.0]);
+            }
+            let both: Vec<LoopSpec> = outer.iter().chain(&inner).copied().collect();
+            assert_eq!(walk.factors(), reuse_factors(&both, |d| relevant[d.0]));
+        }
+    }
+
+    #[test]
+    fn kernel_counts_match_the_reference_walk() {
+        // The crate-local half of `tests/hot_path_equivalence.rs`: one
+        // scratch, valid mappings and zero-valued mutants, counts held to
+        // `reuse::count_accesses`.
         let m = model();
         let s = space(&m);
         let mut rng = StdRng::seed_from_u64(1234);
         let mut scratch = EvalScratch::new();
-        for _ in 0..64 {
-            let mapping = s.random_mapping(&mut rng);
-            let baseline = m.evaluate(&mapping);
+        for i in 0..64 {
+            let mut mapping = s.random_mapping(&mut rng);
+            if i % 4 == 3 {
+                mapping.tiles[i % 2][0] = 0;
+                mapping.parallel[1] = 0;
+            }
             let summary = m.evaluate_into(&mut scratch, &mapping);
-            assert_eq!(
-                summary.total_energy_pj.to_bits(),
-                baseline.total_energy_pj.to_bits()
-            );
-            assert_eq!(summary.cycles.to_bits(), baseline.cycles.to_bits());
-            assert_eq!(
-                summary.utilization.to_bits(),
-                baseline.utilization.to_bits()
-            );
-            assert_eq!(summary.edp.to_bits(), baseline.edp.to_bits());
-            assert_eq!(
-                summary.compute_energy_pj.to_bits(),
-                baseline.compute_energy_pj.to_bits()
-            );
-            assert_eq!(
-                summary.last_level_accesses,
-                baseline.accesses.total_at(Level::Dram)
-            );
-            // The detailed view in scratch must also match.
-            let detailed = m.evaluate_into(&mut scratch, &mapping);
-            assert_eq!(scratch.energy_pj(), baseline.energy_pj.as_slice());
-            assert_eq!(scratch.accesses(), &baseline.accesses);
-            assert_eq!(detailed, summary);
+            let reference = crate::reuse::count_accesses(m.problem(), &mapping);
+            assert_eq!(scratch.accesses(), &reference);
+            assert_eq!(summary.last_level_accesses, reference.total_at(Level::Dram));
+        }
+    }
+
+    #[test]
+    fn evaluate_into_is_bit_identical_to_evaluate() {
+        // `evaluate` is the allocating wrapper: the same summary, plus the
+        // detail buffers moved out of the scratch.
+        let m = model();
+        let s = space(&m);
+        let mut rng = StdRng::seed_from_u64(1234);
+        let mut scratch = EvalScratch::new();
+        for _ in 0..16 {
+            let mapping = s.random_mapping(&mut rng);
+            let breakdown = m.evaluate(&mapping);
+            let summary = m.evaluate_into(&mut scratch, &mapping);
+            assert_eq!(scratch.energy_pj(), breakdown.energy_pj.as_slice());
+            assert_eq!(scratch.accesses(), &breakdown.accesses);
+            assert_eq!(scratch.take_breakdown(summary), breakdown);
         }
     }
 

@@ -44,28 +44,21 @@ pub struct TiledNest {
 impl TiledNest {
     /// Lower a mapping into its tiled loop nest for `problem`.
     pub fn from_mapping(problem: &ProblemSpec, m: &Mapping) -> Self {
-        let mut nest = TiledNest::default();
-        nest.fill_from_mapping(problem, m);
-        nest
-    }
-
-    /// In-place form of [`from_mapping`](Self::from_mapping): rewrite this
-    /// nest for `m`, reusing the loop vectors. The allocation-free lowering
-    /// used by `CostModel::evaluate_into`.
-    pub fn fill_from_mapping(&mut self, problem: &ProblemSpec, m: &Mapping) {
-        let fill = |out: &mut Vec<LoopSpec>, level: Level| {
-            out.clear();
-            out.extend(m.order(level).iter().map(|&d| LoopSpec {
-                dim: DimId(d),
-                trips: m.trip_count(problem, level, DimId(d)),
-            }));
+        let loops = |level: Level| -> Vec<LoopSpec> {
+            m.order(level)
+                .iter()
+                .map(|&d| LoopSpec {
+                    dim: DimId(d),
+                    trips: m.trip_count(problem, level, DimId(d)),
+                })
+                .collect()
         };
-        fill(&mut self.dram_loops, Level::Dram);
-        fill(&mut self.l2_loops, Level::L2);
-        fill(&mut self.l1_loops, Level::L1);
-        self.spatial.clear();
-        self.spatial
-            .extend(problem.dims().map(|d| (d, m.parallelism(d))));
+        TiledNest {
+            dram_loops: loops(Level::Dram),
+            l2_loops: loops(Level::L2),
+            l1_loops: loops(Level::L1),
+            spatial: problem.dims().map(|d| (d, m.parallelism(d))).collect(),
+        }
     }
 
     /// All temporal loops above the L1 tile (DRAM then L2), outermost first.
@@ -73,13 +66,6 @@ impl TiledNest {
         let mut v = self.dram_loops.clone();
         v.extend(self.l2_loops.iter().copied());
         v
-    }
-
-    /// In-place form of [`loops_above_l1`](Self::loops_above_l1).
-    pub fn loops_above_l1_into(&self, out: &mut Vec<LoopSpec>) {
-        out.clear();
-        out.extend_from_slice(&self.dram_loops);
-        out.extend_from_slice(&self.l2_loops);
     }
 
     /// Total trip-count product of a slice of loops.
@@ -179,29 +165,21 @@ impl AccessCounts {
 }
 
 /// Run the full reuse analysis for `mapping` on `problem`.
+///
+/// This is the *reference* walk: it materialises the [`TiledNest`] and asks
+/// [`reuse_factors`] about each loop block, one tensor at a time, exactly as
+/// the module docs describe the analysis. `CostModel::evaluate_into` computes
+/// the same counts in one pass over flat per-dimension data without building
+/// a nest; the tests hold that kernel to this function bit for bit, so keep
+/// this one readable rather than fast.
 pub fn count_accesses(problem: &ProblemSpec, mapping: &Mapping) -> AccessCounts {
     let nest = TiledNest::from_mapping(problem, mapping);
     let loops_above_l1 = nest.loops_above_l1();
-    let mut counts = AccessCounts::default();
-    count_accesses_into(problem, mapping, &nest, &loops_above_l1, &mut counts);
-    counts
-}
-
-/// In-place form of [`count_accesses`]: run the reuse analysis with a
-/// caller-provided (already lowered) `nest` and its `loops_above_l1` slice,
-/// writing into `counts`. Allocation-free once `counts` has warmed up to the
-/// problem's tensor count.
-pub fn count_accesses_into(
-    problem: &ProblemSpec,
-    mapping: &Mapping,
-    nest: &TiledNest,
-    loops_above_l1: &[LoopSpec],
-    counts: &mut AccessCounts,
-) {
     let nt = problem.num_tensors();
     let out_idx = problem.output_tensor();
     let padded_macs = mapping.padded_macs(problem);
     let active_pes = mapping.active_pes() as u128;
+    let mut counts = AccessCounts::default();
     counts.reset(nt);
 
     for (t, tensor) in problem.tensors.iter().enumerate() {
@@ -240,7 +218,7 @@ pub fn count_accesses_into(
         }
 
         // --- L2 <-> L1 boundary: governed by all loops above L1.
-        let inner = reuse_factors(loops_above_l1, relevant);
+        let inner = reuse_factors(&loops_above_l1, relevant);
         if is_output {
             // PEs push completed/partial output tiles up into L2 …
             counts.l2_writes[t] += inner.reloads * spatial_fp;
@@ -266,6 +244,7 @@ pub fn count_accesses_into(
             counts.l1_reads[t] += padded_macs;
         }
     }
+    counts
 }
 
 #[cfg(test)]

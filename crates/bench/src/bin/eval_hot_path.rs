@@ -1,6 +1,10 @@
-//! Eval hot-path micro-benchmark: single-core evals/second of the four
+//! Eval hot-path micro-benchmark: single-core evals/second of the
 //! evaluation paths, on the ResNet Conv_4 workload.
 //!
+//! * `reference walk` — `mm_accel::reuse::count_accesses`, the literal
+//!   `TiledNest` + `reuse_factors` analysis the kernel is tested against
+//!   (access counts only: no energy, cycles or EDP, so the printed
+//!   kernel-vs-reference ratio understates the kernel's advantage);
 //! * `analytic scalar (alloc)` — the public allocating
 //!   [`CostModel::evaluate`] (the pre-PR-10 hot path);
 //! * `analytic scalar (into)` — [`CostModel::evaluate_into`] through one
@@ -10,15 +14,19 @@
 //! * `surrogate batch` — the MLP's batched forward pass
 //!   (`Surrogate::predict_normalized_edp_batch`), quick-scale training.
 //!
-//! Backs the EXPERIMENTS.md "Zero-alloc eval hot path" table. Purely
+//! Backs the EXPERIMENTS.md "Zero-alloc eval hot path" and "Cost kernel"
+//! tables; the last line printed is ns per evaluation of the reference walk
+//! against the kernel, so the ratio is visible in a CI log. Purely
 //! informational — `BENCH_mapper.json` (regenerated by
 //! `mapper_throughput`) is the artifact `bench_gate` checks. Tune with
 //! `MM_EVAL_HOT_PATH_EVALS` (default 100000 analytic evaluations;
 //! the surrogate runs 1/10 of that).
 
+use mm_accel::reuse::count_accesses;
 use mm_accel::{BatchCosts, CostModel, EvalScratch};
 use mm_bench::report::{self, fmt, format_table, Stopwatch};
 use mm_bench::{train_surrogate, ExperimentScale};
+use mm_mapspace::mapping::Level;
 use mm_mapspace::{MapSpace, Mapping};
 use mm_workloads::table1::Algorithm;
 use mm_workloads::{evaluated_accelerator, table1};
@@ -41,6 +49,14 @@ fn main() {
     let mut sink = 0.0f64;
 
     let rate = |count: usize, secs: f64| count as f64 / secs.max(1e-12);
+
+    // The reference walk the kernel is held to (counts only).
+    let watch = Stopwatch::start();
+    for i in 0..evals {
+        let counts = count_accesses(&target.problem, &pool[i % pool.len()]);
+        sink += counts.total_at(Level::Dram) as f64;
+    }
+    let reference = rate(evals, watch.elapsed_s());
 
     // Analytic scalar, allocating (the pre-zero-alloc hot path).
     let watch = Stopwatch::start();
@@ -91,6 +107,11 @@ fn main() {
     );
     let rows = vec![
         vec![
+            "reference walk (counts only)".to_string(),
+            fmt(reference),
+            format!("{:.2}", reference / scalar_alloc),
+        ],
+        vec![
             "analytic scalar (alloc)".to_string(),
             fmt(scalar_alloc),
             "1.00".to_string(),
@@ -114,5 +135,11 @@ fn main() {
     println!(
         "{}",
         format_table(&["path", "evals/s", "vs alloc scalar"], &rows)
+    );
+    println!(
+        "reference walk {:.0} ns/eval, kernel (into) {:.0} ns/eval: kernel is {:.2}x the reference",
+        1e9 / reference,
+        1e9 / scalar_into,
+        scalar_into / reference
     );
 }

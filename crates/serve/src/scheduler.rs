@@ -9,6 +9,18 @@
 //! while any job still has budget, and pool threads are spawned once for
 //! the service's lifetime instead of once per layer.
 //!
+//! # Refill in halves
+//!
+//! A job's pipeline is refilled when it has drained to half its depth, not
+//! after every completion (`ActiveJob::fill`): in steady state a pool job
+//! carries at least half a pipeline of mappings, so the worker always has
+//! the next batch queued behind the one it is evaluating. Topping up by one
+//! proposal per step sends one-mapping jobs, and an evaluator faster than
+//! the driving thread then drains its queue and parks after each of them —
+//! every submission costs the driving thread, by then the bottleneck, a
+//! wake-up system call. Searchers with lookahead 1 have a pipeline of one
+//! and still make one round trip per evaluation.
+//!
 //! # Fair share
 //!
 //! Pending jobs are grouped by owning request. When an active slot frees,
@@ -63,14 +75,17 @@ use rand::SeedableRng;
 pub(crate) const JOB_SYNC_INTERVAL: u64 = 64;
 
 /// Minimum in-flight proposal depth of a job (when its searcher tolerates
-/// it): deep enough that per-worker chunk jobs carry meaningful batches for
-/// `CostEvaluator::evaluate_batch` fast paths (e.g. ≥ 16-row surrogate
-/// forward passes on a 2-worker pool), independent of pool width.
+/// it), independent of pool width. A pipeline is refilled by halves, so a
+/// refill of this depth is 16 proposals: one 16-mapping job on a one-worker
+/// pool, two 8-row `CostEvaluator::evaluate_batch` calls (e.g. surrogate
+/// forward passes) on a two-worker pool.
 const MIN_PIPELINE_DEPTH: usize = 32;
 
 /// Clamp a searcher's `lookahead` to the in-flight depth a pool can keep
 /// fed: at least 1, at most two proposals per worker — but never capped
-/// below [`MIN_PIPELINE_DEPTH`].
+/// below [`MIN_PIPELINE_DEPTH`]. [`ActiveJob::fill`] lets a pipeline of
+/// this depth drain to half before refilling it, so the depth also sets the
+/// steady-state size of a refill (half of it).
 fn pipeline_depth(lookahead: usize, workers: usize) -> usize {
     lookahead.clamp(1, (workers * 2).max(MIN_PIPELINE_DEPTH))
 }
@@ -228,9 +243,16 @@ impl ActiveJob {
         self.failed.is_some() || self.cancelled
     }
 
-    /// Keep this job's pipeline full: propose up to its lookahead (capped by
-    /// remaining budget and pool depth) and submit as one chunk job per
-    /// worker, so batched evaluators see whole proposal batches.
+    /// Refill this job's pipeline once it has drained to half its depth
+    /// (lookahead capped by pool depth): propose up to the depth, the sync
+    /// horizon and the budget, and submit as one chunk job per worker.
+    ///
+    /// Refilling by halves rather than topping up after every completion is
+    /// what makes pool jobs carry batches: a top-up is one proposal, one
+    /// one-mapping job, and — once the evaluator is faster than this thread
+    /// — one wake-up of a worker that parked after the previous one. What is
+    /// left before the horizon or the budget goes out as soon as it fits,
+    /// however small, so a pipeline never waits to send its tail.
     fn fill(
         &mut self,
         pool: &mut EvalPool,
@@ -240,9 +262,6 @@ impl ActiveJob {
         if self.doomed() || self.exhausted || self.submitted >= self.budget {
             return;
         }
-        // At least MIN_PIPELINE_DEPTH in flight (when the searcher tolerates
-        // it), so per-worker chunk jobs carry real batches for
-        // `evaluate_batch` fast paths like the surrogate's forward pass.
         let cap = pipeline_depth(self.search.lookahead(), pool.workers()) as u64;
         // With sync on, never propose past the next sync boundary: a sync
         // point mutates searcher state (and may draw from the job RNG), so
@@ -256,10 +275,10 @@ impl ActiveJob {
         } else {
             self.budget
         };
-        let room = cap
-            .saturating_sub(self.pending.len() as u64)
-            .min(horizon - self.submitted);
-        if room == 0 {
+        let in_flight = self.pending.len() as u64;
+        let left = horizon - self.submitted;
+        let room = cap.saturating_sub(in_flight).min(left);
+        if room == 0 || (in_flight > cap / 2 && room < left) {
             return;
         }
         buf.clear();
@@ -753,6 +772,191 @@ mod tests {
         assert_eq!(pipeline_depth(1, 20), 1);
         assert_eq!(pipeline_depth(0, 20), 1);
         assert_eq!(pipeline_depth(usize::MAX, 3), MIN_PIPELINE_DEPTH);
+    }
+
+    /// Forwards to the analytic evaluator and records how many mappings
+    /// each pool job handed it.
+    struct CountingEvaluator {
+        inner: ModelEvaluator,
+        calls: std::sync::Mutex<Vec<usize>>,
+    }
+
+    impl CostEvaluator for CountingEvaluator {
+        fn metrics(&self) -> &[OptMetric] {
+            self.inner.metrics()
+        }
+        fn evaluate(&self, mapping: &Mapping) -> Evaluation {
+            self.inner.evaluate(mapping)
+        }
+        fn evaluate_batch(&self, mappings: &[Mapping]) -> Vec<Evaluation> {
+            self.calls.lock().unwrap().push(mappings.len());
+            self.inner.evaluate_batch(mappings)
+        }
+    }
+
+    /// Forwards to a searcher and checks at every `propose` that nothing
+    /// was drawn past the next job-local sync boundary.
+    struct Fenced {
+        inner: Box<dyn ProposalSearch>,
+        drawn: u64,
+        reported: u64,
+    }
+
+    impl ProposalSearch for Fenced {
+        fn name(&self) -> &str {
+            self.inner.name()
+        }
+        fn begin(&mut self, space: &dyn MapSpaceView, horizon: Option<u64>, rng: &mut StdRng) {
+            self.inner.begin(space, horizon, rng);
+        }
+        fn lookahead(&self) -> usize {
+            self.inner.lookahead()
+        }
+        fn propose(
+            &mut self,
+            space: &dyn MapSpaceView,
+            rng: &mut StdRng,
+            max: usize,
+            out: &mut ProposalBuf,
+        ) {
+            let before = out.len();
+            self.inner.propose(space, rng, max, out);
+            self.drawn += (out.len() - before) as u64;
+            let boundary = (self.reported / JOB_SYNC_INTERVAL + 1) * JOB_SYNC_INTERVAL;
+            assert!(
+                self.drawn <= boundary,
+                "{} proposals drawn with {} reported: past the boundary at {boundary}",
+                self.drawn,
+                self.reported
+            );
+        }
+        fn report(&mut self, mapping: &Mapping, cost: f64, rng: &mut StdRng) {
+            self.reported += 1;
+            self.inner.report(mapping, cost, rng);
+        }
+        fn observe_global_best(
+            &mut self,
+            space: &dyn MapSpaceView,
+            mapping: &Mapping,
+            cost: f64,
+            action: mm_search::SyncAction,
+            rng: &mut StdRng,
+        ) {
+            self.inner
+                .observe_global_best(space, mapping, cost, action, rng);
+        }
+    }
+
+    #[test]
+    fn pipelines_refill_in_halves_without_changing_any_outcome() {
+        // One worker, one job at a time: the sizes of the pool jobs are then
+        // a function of the refill rule alone. The expected outcomes were
+        // recorded at the parent commit, whose `fill` topped the pipeline up
+        // by one proposal per step — the same specs must still find the same
+        // best mapping at the same cost after the same number of
+        // evaluations.
+        struct Case {
+            sa: bool,
+            w: u64,
+            seed: u64,
+            budget: u64,
+            sync: SyncPolicy,
+            best_bits: u64,
+            best: &'static str,
+        }
+        let cases = [
+            Case {
+                sa: false,
+                w: 200,
+                seed: 7,
+                budget: 200,
+                sync: SyncPolicy::Off,
+                best_bits: 0x3d15876eb7b84658,
+                best: "Mapping { tiles: [[5, 1], [28, 5]], parallel: [3, 5], \
+                       loop_orders: [[0, 1], [0, 1], [1, 0]], buffer_alloc: \
+                       [[0.29077613784220036, 0.36012901046976753, 0.3191548132770266], \
+                       [0.3471545044113378, 0.4191890030552052, 0.1397288211090857]] }",
+            },
+            Case {
+                sa: true,
+                w: 256,
+                seed: 5,
+                budget: 3 * JOB_SYNC_INTERVAL,
+                sync: SyncPolicy::Anchor,
+                best_bits: 0x3d1ca7f8d14ee849,
+                best: "Mapping { tiles: [[16, 1], [252, 5]], parallel: [8, 1], \
+                       loop_orders: [[1, 0], [0, 1], [1, 0]], buffer_alloc: \
+                       [[0.4666666666666667, 0.02635788421234657, 0.4187013294141635], \
+                       [0.3091859323671876, 0.08761861253809133, 0.3780644712846062]] }",
+            },
+            // Annealed draws from the job RNG at every sync point, so a
+            // boundary at the wrong place in the stream would shift every
+            // later random proposal.
+            Case {
+                sa: false,
+                w: 200,
+                seed: 9,
+                budget: 200,
+                sync: SyncPolicy::Annealed {
+                    start: 0.9,
+                    end: 0.1,
+                },
+                best_bits: 0x3d1312f17768fc0c,
+                best: "Mapping { tiles: [[2, 1], [196, 5]], parallel: [2, 5], \
+                       loop_orders: [[0, 1], [0, 1], [1, 0]], buffer_alloc: \
+                       [[0.3581327047991107, 0.5041230332180842, 0.06623711067995362], \
+                       [0.12204550864716739, 0.3476221806705281, 0.38632299042685303]] }",
+            },
+        ];
+        for case in cases {
+            let mut s = spec(0, case.w, case.seed, case.budget);
+            let problem = ProblemSpec::conv1d(case.w, 5);
+            let counting = Arc::new(CountingEvaluator {
+                inner: ModelEvaluator::edp(CostModel::new(Architecture::example(), problem)),
+                calls: std::sync::Mutex::new(Vec::new()),
+            });
+            s.evaluator = Arc::clone(&counting) as Arc<dyn CostEvaluator>;
+            let inner: Box<dyn ProposalSearch> = if case.sa {
+                Box::new(SimulatedAnnealing::default())
+            } else {
+                Box::new(RandomSearch::new())
+            };
+            let depth = pipeline_depth(inner.lookahead(), 1);
+            s.search = if case.sync.is_enabled() {
+                Box::new(Fenced {
+                    inner,
+                    drawn: 0,
+                    reported: 0,
+                })
+            } else {
+                inner
+            };
+            s.sync = case.sync;
+
+            let mut pool = EvalPool::shared(1);
+            let outcome = run_specs(&mut pool, vec![s], 1).remove(0);
+            let (mapping, eval) = outcome.best.expect("a best mapping");
+            assert_eq!(outcome.evaluations, case.budget);
+            assert_eq!(eval.primary().to_bits(), case.best_bits);
+            assert_eq!(format!("{mapping:?}"), case.best);
+
+            let calls = counting.calls.lock().unwrap().clone();
+            assert_eq!(calls.iter().sum::<usize>() as u64, case.budget);
+            if case.sa {
+                assert_eq!(depth, 1);
+                assert!(calls.iter().all(|&n| n == 1), "SA: {calls:?}");
+            } else if !case.sync.is_enabled() {
+                // First fill, refills of at least half a pipeline, one tail.
+                assert_eq!(depth, MIN_PIPELINE_DEPTH);
+                assert_eq!(calls[0], depth);
+                let steady = &calls[1..calls.len() - 1];
+                assert!(steady.len() >= 8, "{calls:?}");
+                assert!(steady.iter().all(|&n| n >= depth / 2), "{calls:?}");
+            } else {
+                // The pipeline drains at every boundary and fills afresh.
+                assert!(calls.iter().all(|&n| n >= 8), "{calls:?}");
+            }
+        }
     }
 
     #[test]
