@@ -14,9 +14,15 @@
 //! * `surrogate batch` — the MLP's batched forward pass
 //!   (`Surrogate::predict_normalized_edp_batch`), quick-scale training.
 //!
-//! Backs the EXPERIMENTS.md "Zero-alloc eval hot path" and "Cost kernel"
-//! tables; the last line printed is ns per evaluation of the reference walk
-//! against the kernel, so the ratio is visible in a CI log. Purely
+//! Then the price of a proposal, in the same currency: ns per call of
+//! [`MapSpace::random_mapping_into`], `neighbor_into`, `crossover_into` and
+//! of [`MapSpace::repair`] on an already-valid mapping (copied into the slot
+//! first), each as a multiple of one `evaluate_into`.
+//!
+//! Backs the EXPERIMENTS.md "Zero-alloc eval hot path", "Cost kernel" and
+//! "Proposal generation" tables; the last lines printed are ns per
+//! evaluation of the reference walk against the kernel and ns per proposal
+//! against the kernel, so both ratios are visible in a CI log. Purely
 //! informational — `BENCH_mapper.json` (regenerated by
 //! `mapper_throughput`) is the artifact `bench_gate` checks. Tune with
 //! `MM_EVAL_HOT_PATH_EVALS` (default 100000 analytic evaluations;
@@ -141,5 +147,42 @@ fn main() {
         1e9 / reference,
         1e9 / scalar_into,
         scalar_into / reference
+    );
+
+    // Proposal generation, through reused slots as the searchers call it.
+    let mut slot = Mapping::default();
+    let mut timed = |name: &str, call: &mut dyn FnMut(usize, &mut Mapping, &mut StdRng)| {
+        call(0, &mut slot, &mut rng); // the slot takes its shape
+        let watch = Stopwatch::start();
+        for i in 0..evals {
+            call(i, &mut slot, &mut rng);
+        }
+        let ns = 1e9 * watch.elapsed_s() / evals as f64;
+        std::hint::black_box(&slot);
+        vec![
+            name.to_string(),
+            format!("{ns:.0}"),
+            format!("{:.2}", ns * scalar_into / 1e9),
+        ]
+    };
+    let rows = vec![
+        timed("random_mapping_into", &mut |_, slot, rng| {
+            space.random_mapping_into(slot, rng)
+        }),
+        timed("neighbor_into", &mut |i, slot, rng| {
+            space.neighbor_into(&pool[i % pool.len()], slot, rng)
+        }),
+        timed("crossover_into", &mut |i, slot, rng| {
+            let (a, b) = (&pool[i % pool.len()], &pool[(i + 1) % pool.len()]);
+            space.crossover_into(a, b, slot, rng)
+        }),
+        timed("repair (valid mapping)", &mut |i, slot, _| {
+            slot.clone_from(&pool[i % pool.len()]);
+            space.repair(slot)
+        }),
+    ];
+    println!(
+        "{}",
+        format_table(&["proposal path", "ns/call", "evaluate_into's"], &rows)
     );
 }

@@ -125,22 +125,34 @@ impl Mapping {
     pub fn reset_minimal(&mut self, problem: &ProblemSpec) {
         let d = problem.num_dims();
         let t = problem.num_tensors();
-        self.tiles.resize_with(ONCHIP_LEVELS, Vec::new);
+        self.reshape(d, t);
         for row in &mut self.tiles {
-            row.clear();
-            row.resize(d, 1);
+            row.fill(1);
         }
-        self.parallel.clear();
-        self.parallel.resize(d, 1);
-        self.loop_orders.resize_with(ORDER_LEVELS, Vec::new);
+        self.parallel.fill(1);
         for order in &mut self.loop_orders {
             order.clear();
             order.extend(0..d);
         }
+        for row in &mut self.buffer_alloc {
+            row.fill(1.0 / t as f64);
+        }
+    }
+
+    /// Give every row the shape of a mapping over `dims` dimensions and
+    /// `tensors` tensors, reusing the nested allocations. Entries a row
+    /// already had keep their values (and loop orders are left as they
+    /// are): for callers that go on to write every entry.
+    pub(crate) fn reshape(&mut self, dims: usize, tensors: usize) {
+        self.tiles.resize_with(ONCHIP_LEVELS, Vec::new);
+        for row in &mut self.tiles {
+            row.resize(dims, 1);
+        }
+        self.parallel.resize(dims, 1);
+        self.loop_orders.resize_with(ORDER_LEVELS, Vec::new);
         self.buffer_alloc.resize_with(ONCHIP_LEVELS, Vec::new);
         for row in &mut self.buffer_alloc {
-            row.clear();
-            row.resize(t, 1.0 / t as f64);
+            row.resize(tensors, 0.0);
         }
     }
 

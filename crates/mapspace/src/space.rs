@@ -7,7 +7,7 @@ use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 use crate::mapping::{Level, Mapping, ONCHIP_LEVELS, ORDER_LEVELS};
-use crate::problem::{DimId, ProblemSpec};
+use crate::problem::{DimId, ProblemSpec, TensorDim};
 
 /// The accelerator parameters that constrain which mappings are valid:
 /// buffer capacities, bank counts, and the number of processing elements.
@@ -73,10 +73,74 @@ impl Default for MappingConstraints {
 /// through the `f32` mapping encoding.
 const ALLOC_EPS_WORDS: f64 = 0.0625;
 
-/// Stack capacity for per-tensor relevant-dimension scratch in
-/// [`MapSpace::repair`]; problems with more dimensions fall back to a heap
-/// allocation (none of the paper's workloads come close).
-const DIM_STACK: usize = 64;
+/// Tensors whose cached footprints [`MapSpace::repair`] keeps on the stack;
+/// a problem with more runs the same code over a heap buffer (none of the
+/// paper's workloads come close).
+const TENSOR_STACK: usize = 16;
+
+/// What sampling and [`MapSpace::repair`] need of the problem, lowered once
+/// by [`MapSpace::new`] (the counterpart of `mm-accel`'s lowered
+/// `CostModel`). A pure function of the problem, built in O(dimensions +
+/// tensor coordinates) whatever the extents are, and one flat allocation, so
+/// that building and cloning a [`MapSpace`] stay cheap.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+struct Lowered {
+    /// Three regions, in order: `ln(size)` of every dimension, as `f64`
+    /// bits; `tensors + 1` list bounds; then, per tensor, its relevant
+    /// dimensions in
+    /// [`TensorSpec::relevant_dims`](crate::problem::TensorSpec::relevant_dims)
+    /// order (`repair`'s tie-breaks depend on that order).
+    words: Vec<u64>,
+    /// Where the list bounds start (the number of dimensions).
+    bounds: usize,
+}
+
+impl Lowered {
+    fn new(problem: &ProblemSpec) -> Self {
+        let bounds = problem.num_dims();
+        let tensors = problem.num_tensors();
+        let lists = bounds + tensors + 1;
+        let coords: usize = problem.tensors.iter().map(|t| t.dims.len()).sum();
+        let mut words = Vec::with_capacity(lists + 2 * coords);
+        words.extend(
+            problem
+                .dim_sizes
+                .iter()
+                .map(|&size| (size as f64).ln().to_bits()),
+        );
+        words.resize(lists, 0);
+        for (ti, tensor) in problem.tensors.iter().enumerate() {
+            let relevant = words.len();
+            words[bounds + ti] = relevant as u64;
+            for td in &tensor.dims {
+                let (a, b) = match *td {
+                    TensorDim::Single(a) => (a, None),
+                    TensorDim::Compound(a, b) => (a, Some(b)),
+                };
+                for DimId(i) in std::iter::once(a).chain(b) {
+                    if !words[relevant..].contains(&(i as u64)) {
+                        words.push(i as u64);
+                    }
+                }
+            }
+        }
+        words[bounds + tensors] = words.len() as u64;
+        Lowered { words, bounds }
+    }
+
+    /// `ln(size)` of dimension `dim`.
+    #[inline]
+    fn ln_size(&self, dim: usize) -> f64 {
+        f64::from_bits(self.words[dim])
+    }
+
+    /// The dimensions tensor `ti`'s footprint depends on.
+    #[inline]
+    fn relevant(&self, ti: usize) -> &[u64] {
+        let at = self.bounds + ti;
+        &self.words[self.words[at] as usize..self.words[at + 1] as usize]
+    }
+}
 
 /// The map space `M_{a,p}` (Definition 2.2): all valid mappings of problem
 /// `p` onto the accelerator described by [`MappingConstraints`].
@@ -84,15 +148,18 @@ const DIM_STACK: usize = 64;
 pub struct MapSpace {
     problem: ProblemSpec,
     constraints: MappingConstraints,
+    lowered: Lowered,
 }
 
 impl MapSpace {
     /// Create the map space for `problem` on the accelerator described by
     /// `constraints`.
     pub fn new(problem: ProblemSpec, constraints: MappingConstraints) -> Self {
+        let lowered = Lowered::new(&problem);
         Self {
             problem,
             constraints,
+            lowered,
         }
     }
 
@@ -257,58 +324,89 @@ impl MapSpace {
 
     /// In-place form of [`random_mapping`](Self::random_mapping): rewrites
     /// `m` to a fresh random valid mapping, reusing its allocations.
+    ///
+    /// The draws, their order and every float operation on them are those of
+    /// the sampler the golden fixtures were recorded with; what is skipped
+    /// is what never reached the stream: `ln(1)`, the `ln` of a bound that
+    /// is the dimension itself (lowered once), and the PE product, carried
+    /// along instead of refolded per attempt.
+    // mm-lint: hot-path — the steady-state eval loop must not allocate.
     pub fn random_mapping_into<R: Rng + ?Sized>(&self, m: &mut Mapping, rng: &mut R) {
-        m.reset_minimal(&self.problem);
-        let p = &self.problem;
-        let d = p.num_dims();
-        let t = p.num_tensors();
+        let low = &self.lowered;
+        let sizes = self.problem.dim_sizes.as_slice();
+        let d = sizes.len();
+        let num_pes = self.constraints.num_pes;
+        // Every row below is written in full; only parallelism is
+        // accumulated into, so only it starts from the minimal mapping.
+        m.reshape(d, self.problem.num_tensors());
+        m.parallel.fill(1);
 
         // Parallelism: repeatedly assign a random factor to a random dim
-        // while staying under the PE budget.
-        let mut pe_budget = self.constraints.num_pes;
+        // while staying under the PE budget. `active` is the product of the
+        // factors so far; it never exceeds `num_pes`, so it never saturates.
+        let mut active = 1u64;
+        let mut pe_budget = num_pes;
         for _ in 0..d * 2 {
             if pe_budget <= 1 {
                 break;
             }
-            let dim = DimId(rng.gen_range(0..d));
-            let max_par = p.dim_size(dim).min(pe_budget);
+            let dim = rng.gen_range(0..d);
+            let size = sizes[dim];
+            let max_par = size.min(pe_budget);
             if max_par <= 1 {
                 continue;
             }
-            let f = log_uniform(rng, 1, max_par);
-            let newp = (m.parallel[dim.0] * f).min(p.dim_size(dim));
-            m.parallel[dim.0] = newp.max(1);
-            pe_budget = self.constraints.num_pes / m.active_pes().max(1);
+            let ln_max = if max_par == size {
+                low.ln_size(dim)
+            } else {
+                (max_par as f64).ln()
+            };
+            let f = log_uniform_between(rng, 1, max_par, 0.0, ln_max);
+            let grown = (m.parallel[dim] * f).min(size);
+            active = active / m.parallel[dim] * grown;
+            m.parallel[dim] = grown;
+            debug_assert_eq!(active, m.active_pes());
+            pe_budget = num_pes / active;
         }
 
         // Tile sizes: log-uniform L1 tile, then L2 tile between the spatial
         // tile and the full dimension.
-        for dim in p.dims() {
-            let size = p.dim_size(dim);
-            let par = m.parallel[dim.0].max(1);
-            let t1 = log_uniform(rng, 1, (size / par).max(1));
+        let (l1, l2) = m.tiles.split_at_mut(1);
+        for dim in 0..d {
+            let size = sizes[dim];
+            let par = m.parallel[dim];
+            let room = size / par;
+            let t1 = if room <= 1 {
+                1
+            } else {
+                let ln_room = if par == 1 {
+                    low.ln_size(dim)
+                } else {
+                    (room as f64).ln()
+                };
+                log_uniform_between(rng, 1, room, 0.0, ln_room)
+            };
             let spatial = (t1 * par).min(size);
-            let t2 = log_uniform(rng, spatial.max(1), size);
-            m.tiles[0][dim.0] = t1;
-            m.tiles[1][dim.0] = t2.max(spatial).max(t1);
+            l1[0][dim] = t1;
+            l2[0][dim] = if size <= spatial {
+                spatial
+            } else {
+                log_uniform_between(rng, spatial, size, ln_extent(spatial), low.ln_size(dim))
+            };
         }
 
         // Loop orders: independent random permutations per level. The shuffle
         // draws depend only on the length, so rebuilding the identity
         // permutation in place keeps the RNG stream identical to the old
         // collect-then-shuffle form.
-        for lv in 0..ORDER_LEVELS {
-            let order = &mut m.loop_orders[lv];
+        for order in &mut m.loop_orders {
             order.clear();
             order.extend(0..d);
             order.shuffle(rng);
         }
 
         // Buffer allocation: random positive fractions normalized to sum <= 1.
-        for lv in 0..ONCHIP_LEVELS {
-            let row = &mut m.buffer_alloc[lv];
-            row.clear();
-            row.resize(t, 0.0);
+        for row in &mut m.buffer_alloc {
             for r in row.iter_mut() {
                 *r = rng.gen_range(0.05..1.0);
             }
@@ -323,219 +421,206 @@ impl MapSpace {
         debug_assert!(self.is_member(m), "{:?}", self.validate(m));
     }
 
-    /// Deterministically repair a structurally well-formed mapping so that it
-    /// satisfies tile-ordering, parallelism, and capacity constraints. Used
-    /// by both sampling and projection.
+    /// Deterministically repair a structurally well-formed mapping (every
+    /// row of the problem's shape, any values) so that it satisfies the
+    /// tile-ordering, parallelism and capacity constraints. Used by
+    /// sampling, by every move operator and by projection.
+    ///
+    /// On a mapping that is already a member, `repair` leaves `tiles`,
+    /// `parallel` and `loop_orders` as they are and the result is still a
+    /// member — but it is **not** idempotent to the bit. A `buffer_alloc`
+    /// row normalised to a sum one ulp above 1.0 is divided by that sum
+    /// again: a second `repair` moved about 1.5 % of 540 000 sampled,
+    /// mutated and recombined mappings, no entry by more than 4 ulp, and a
+    /// third still moved a few. Skipping a `repair` that "cannot have
+    /// changed anything" therefore changes search trajectories
+    /// (`tests/proptest_space.rs` pins exactly this much).
+    // mm-lint: hot-path — the steady-state eval loop must not allocate.
     pub fn repair(&self, m: &mut Mapping) {
-        let p = &self.problem;
-        let d = p.num_dims();
-        let t = p.num_tensors();
+        let low = &self.lowered;
+        let sizes = self.problem.dim_sizes.as_slice();
+        let tensors = self.problem.tensors.as_slice();
+        let d = sizes.len();
+        let t = tensors.len();
+        let (l1, l2) = m.tiles.split_at_mut(1);
+        let (t1, t2) = (&mut l1[0][..d], &mut l2[0][..d]);
+        let par = &mut m.parallel[..d];
 
-        // Clamp basic ranges.
-        for dim in p.dims() {
-            let size = p.dim_size(dim);
-            m.parallel[dim.0] = m.parallel[dim.0].clamp(1, size);
-            m.tiles[0][dim.0] = m.tiles[0][dim.0].clamp(1, size);
-            m.tiles[1][dim.0] = m.tiles[1][dim.0].clamp(1, size);
+        // Clamp basic ranges, carrying the PE product.
+        let mut active = 1u64;
+        for i in 0..d {
+            let size = sizes[i];
+            par[i] = par[i].clamp(1, size);
+            t1[i] = t1[i].clamp(1, size);
+            t2[i] = t2[i].clamp(1, size);
+            active = active.saturating_mul(par[i]);
         }
 
-        // Enforce the PE budget by shrinking the largest parallelism factors.
-        while m.active_pes() > self.constraints.num_pes {
-            let Some(worst) = (0..d).max_by_key(|&i| m.parallel[i]) else {
+        // Enforce the PE budget by shrinking the largest parallelism factors
+        // (the last of equals, as `max_by_key` picks).
+        while active > self.constraints.num_pes {
+            let Some(worst) = (0..d).max_by_key(|&i| par[i]) else {
                 break; // zero-dimensional problems have nothing to shrink
             };
-            m.parallel[worst] = (m.parallel[worst] / 2).max(1);
-            if m.parallel.iter().all(|&x| x == 1) {
+            par[worst] = (par[worst] / 2).max(1);
+            if par.iter().all(|&x| x == 1) {
                 break;
             }
+            active = par.iter().fold(1u64, |acc, &x| acc.saturating_mul(x));
         }
 
         // Spatial tile must fit within the dimension; L2 tile must cover the
-        // spatial tile and dominate the L1 tile.
-        for dim in p.dims() {
-            let size = p.dim_size(dim);
-            while m.tiles[0][dim.0].saturating_mul(m.parallel[dim.0]) > size {
-                if m.parallel[dim.0] > 1 {
-                    m.parallel[dim.0] = (m.parallel[dim.0] / 2).max(1);
+        // spatial tile and dominate the L1 tile. From here on
+        // `t1 * par <= t2 <= size` holds for every dimension.
+        for i in 0..d {
+            let size = sizes[i];
+            while t1[i].saturating_mul(par[i]) > size {
+                if par[i] > 1 {
+                    par[i] /= 2;
                 } else {
-                    m.tiles[0][dim.0] = (m.tiles[0][dim.0] / 2).max(1);
+                    t1[i] /= 2;
                 }
             }
-            let spatial = (m.tiles[0][dim.0] * m.parallel[dim.0]).min(size);
-            if m.tiles[1][dim.0] < spatial {
-                m.tiles[1][dim.0] = spatial;
-            }
-            m.tiles[1][dim.0] = m.tiles[1][dim.0].clamp(m.tiles[0][dim.0], size);
+            t2[i] = t2[i].max(t1[i] * par[i]).clamp(t1[i], size);
         }
 
         // Normalize buffer fractions.
-        for lv in 0..ONCHIP_LEVELS {
-            for f in &mut m.buffer_alloc[lv] {
+        for row in &mut m.buffer_alloc[..ONCHIP_LEVELS] {
+            for f in row.iter_mut() {
                 if !f.is_finite() || *f <= 0.0 {
                     *f = 1e-3;
                 }
                 *f = f.min(1.0);
             }
-            let sum: f64 = m.buffer_alloc[lv].iter().sum();
+            let sum: f64 = row.iter().sum();
             if sum > 1.0 {
-                for f in &mut m.buffer_alloc[lv] {
+                for f in row.iter_mut() {
                     *f /= sum;
                 }
             }
         }
 
         // Capacity repair: grow allocations toward the free budget first,
-        // then shrink tiles until everything fits.
-        for (lv, level) in [Level::L1, Level::L2].into_iter().enumerate() {
-            let Some(cap) = self.constraints.capacity_words(level) else {
-                continue; // only on-chip levels carry a capacity bound
-            };
-            // Footprints are recomputed on demand instead of collected into a
-            // Vec: `footprint` is a short fold and this loop sits on the
-            // proposal hot path, which must stay allocation-free.
-            let fp_of = |m: &Mapping, ti: usize| match level {
-                Level::L1 => m.l1_footprint(p, ti),
-                Level::L2 => m.l2_footprint(p, ti),
-                // mm-lint: allow(panic): the enclosing loop iterates
-                // on-chip levels only.
-                Level::Dram => unreachable!(),
-            };
+        // then shrink tiles until everything fits. With `t1 * par <= t2` a
+        // tensor's footprint folds the L1 tiles at L1 and the L2 tiles at
+        // L2; `fp` caches it per tensor and is refolded only for the tensors
+        // a shrunk tile is relevant to.
+        let mut stack = [0u64; TENSOR_STACK];
+        // mm-lint: allow(hot-path): grows only beyond TENSOR_STACK tensors.
+        let mut heap = Vec::new();
+        let fp = match stack.get_mut(..t) {
+            Some(fp) => fp,
+            None => {
+                heap.resize(t, 0);
+                heap.as_mut_slice()
+            }
+        };
+        let caps = [
+            self.constraints.l1_capacity_words,
+            self.constraints.l2_capacity_words,
+        ];
+        for (lv, cap) in caps.into_iter().enumerate() {
+            let alloc = &mut m.buffer_alloc[lv][..t];
+            let at_l1 = lv == 0;
+            for (f, tensor) in fp.iter_mut().zip(tensors) {
+                let row: &[u64] = if at_l1 { t1 } else { t2 };
+                *f = tensor.footprint(|dim| row[dim.0]);
+            }
             for _iter in 0..256 {
                 // One pass: total footprint plus the largest tensor, keeping
                 // `max_by_key`'s last-max tie-breaking (`>=`).
-                let mut total_fp: u64 = 0;
-                let mut worst: Option<usize> = None;
-                let mut worst_fp: u64 = 0;
-                for ti in 0..t {
-                    let f = fp_of(m, ti);
+                let (mut total_fp, mut worst, mut worst_fp) = (0u64, 0usize, 0u64);
+                for (ti, &f) in fp.iter().enumerate() {
                     total_fp += f;
-                    if worst.is_none() || f >= worst_fp {
-                        worst = Some(ti);
+                    if f >= worst_fp {
+                        worst = ti;
                         worst_fp = f;
                     }
                 }
                 // Feasible when the combined working set fits in the level.
                 if total_fp <= cap {
-                    let insufficient = (0..t).any(|ti| {
-                        (m.buffer_alloc[lv][ti] * cap as f64 + ALLOC_EPS_WORDS).floor()
-                            < fp_of(m, ti) as f64
-                    });
+                    let insufficient = alloc
+                        .iter()
+                        .zip(fp.iter())
+                        .any(|(&a, &f)| (a * cap as f64 + ALLOC_EPS_WORDS).floor() < f as f64);
                     if insufficient {
                         // Redistribute: each tensor gets exactly what it needs
                         // plus a proportional share of the remaining capacity.
                         let slack = (cap - total_fp) as f64;
-                        for ti in 0..t {
-                            let fp = fp_of(m, ti);
+                        for (a, &f) in alloc.iter_mut().zip(fp.iter()) {
                             let share = if total_fp > 0 {
-                                slack * fp as f64 / total_fp as f64
+                                slack * f as f64 / total_fp as f64
                             } else {
                                 slack / t as f64
                             };
-                            m.buffer_alloc[lv][ti] =
-                                ((fp as f64 + share) / cap as f64).clamp(1e-6, 1.0);
+                            *a = ((f as f64 + share) / cap as f64).clamp(1e-6, 1.0);
                         }
                     }
                     break;
                 }
                 // Does not fit at all: shrink the tile dimension contributing
-                // the most to the largest tensor.
-                let Some(worst_tensor) = worst else {
-                    break; // no tensors: nothing occupies the buffer
-                };
-                let mut dims_stack = [DimId(0); DIM_STACK];
-                let dims_overflow;
-                let dims: &[DimId] = if d <= DIM_STACK {
-                    let n = p.tensors[worst_tensor].relevant_dims_into(&mut dims_stack);
-                    &dims_stack[..n]
+                // the most to the largest tensor (the last of equals; the
+                // first dimension for a tensor with none).
+                let row: &[u64] = if at_l1 { t1 } else { t2 };
+                let (mut target, mut widest) = (0usize, 0u64);
+                for &dd in low.relevant(worst) {
+                    if row[dd as usize] >= widest {
+                        target = dd as usize;
+                        widest = row[target];
+                    }
+                }
+                // The dimension whose tile at this level shrank, if one did.
+                let shrunk = if at_l1 {
+                    if t1[target] > 1 {
+                        t1[target] /= 2;
+                        Some(target)
+                    } else if par[target] > 1 {
+                        par[target] /= 2;
+                        None
+                    } else {
+                        // `target` holds the tensor's widest L1 tile, so no
+                        // other dimension of it has anything left to give.
+                        break;
+                    }
                 } else {
-                    // Cold fallback for pathological dimension counts.
-                    dims_overflow = p.tensors[worst_tensor].relevant_dims();
-                    &dims_overflow
+                    // Prefer shrinking whichever L2 tile (of any dimension)
+                    // has the most slack over its spatial tile: that never
+                    // touches the (already-valid) L1 tiling or parallelism,
+                    // so repairing a valid mapping again leaves its tiles
+                    // and parallelism alone (its fractions may still move by
+                    // a few ulp: see this function's documentation).
+                    let (mut slack_dim, mut most) = (None, 0u64);
+                    for i in 0..d {
+                        let spatial = t1[i] * par[i];
+                        if t2[i] > spatial && t2[i] - spatial >= most {
+                            slack_dim = Some(i);
+                            most = t2[i] - spatial;
+                        }
+                    }
+                    if let Some(i) = slack_dim {
+                        t2[i] = (t2[i] / 2).max(t1[i] * par[i]);
+                        slack_dim
+                    } else if t1[target] > 1 {
+                        t1[target] /= 2;
+                        t2[target] = t2[target].min(t1[target] * par[target]);
+                        Some(target)
+                    } else if par[target] > 1 {
+                        par[target] /= 2;
+                        None
+                    } else {
+                        // No slack anywhere means `t2 == t1 * par`
+                        // everywhere, and `target` holds the tensor's widest
+                        // L2 tile: nothing of it is left to shrink.
+                        break;
+                    }
                 };
-                let target_dim = dims
-                    .iter()
-                    .copied()
-                    .max_by_key(|&dd| match level {
-                        Level::L1 => m.tiles[0][dd.0],
-                        _ => m.tiles[1][dd.0],
-                    })
-                    .unwrap_or(DimId(0));
-                match level {
-                    Level::L1 => {
-                        let cur = m.tiles[0][target_dim.0];
-                        if cur > 1 {
-                            m.tiles[0][target_dim.0] = cur / 2;
-                        } else if m.parallel[target_dim.0] > 1 {
-                            m.parallel[target_dim.0] /= 2;
-                        } else {
-                            // Shrink some other dim of this tensor.
-                            let mut shrunk = false;
-                            for &dd in dims {
-                                if m.tiles[0][dd.0] > 1 {
-                                    m.tiles[0][dd.0] /= 2;
-                                    shrunk = true;
-                                    break;
-                                }
-                            }
-                            if !shrunk {
-                                break;
-                            }
-                        }
-                        // Keep L2 >= spatial invariant.
-                        let size = p.dim_size(target_dim);
-                        let spatial =
-                            (m.tiles[0][target_dim.0] * m.parallel[target_dim.0]).min(size);
-                        if m.tiles[1][target_dim.0] < spatial {
-                            m.tiles[1][target_dim.0] = spatial;
+                if let Some(dim) = shrunk {
+                    let row: &[u64] = if at_l1 { t1 } else { t2 };
+                    for (ti, f) in fp.iter_mut().enumerate() {
+                        if low.relevant(ti).contains(&(dim as u64)) {
+                            *f = tensors[ti].footprint(|dim| row[dim.0]);
                         }
                     }
-                    Level::L2 => {
-                        // Prefer shrinking whichever L2 tile (of any
-                        // dimension) has slack over its spatial tile: that
-                        // never touches the (already-valid) L1 tiling or
-                        // parallelism, which keeps projection idempotent on
-                        // valid mappings.
-                        let slack_dim = p
-                            .dims()
-                            .filter(|&dd| {
-                                let sp = m.tiles[0][dd.0] * m.parallel[dd.0];
-                                m.tiles[1][dd.0] > sp.max(1)
-                            })
-                            .max_by_key(|&dd| {
-                                let sp = m.tiles[0][dd.0] * m.parallel[dd.0];
-                                m.tiles[1][dd.0] - sp.max(1)
-                            });
-                        if let Some(dd) = slack_dim {
-                            let sp = m.tiles[0][dd.0] * m.parallel[dd.0];
-                            m.tiles[1][dd.0] = (m.tiles[1][dd.0] / 2).max(sp).max(1);
-                        } else if m.tiles[0][target_dim.0] > 1 {
-                            m.tiles[0][target_dim.0] /= 2;
-                            let sp = m.tiles[0][target_dim.0] * m.parallel[target_dim.0];
-                            m.tiles[1][target_dim.0] =
-                                m.tiles[1][target_dim.0].min(sp.max(1)).max(1);
-                        } else if m.parallel[target_dim.0] > 1 {
-                            m.parallel[target_dim.0] /= 2;
-                        } else {
-                            let mut shrunk = false;
-                            for &dd in dims {
-                                if m.tiles[0][dd.0] > 1 {
-                                    m.tiles[0][dd.0] /= 2;
-                                    shrunk = true;
-                                    break;
-                                } else if m.parallel[dd.0] > 1 {
-                                    m.parallel[dd.0] /= 2;
-                                    shrunk = true;
-                                    break;
-                                }
-                            }
-                            if !shrunk {
-                                break;
-                            }
-                        }
-                    }
-                    // mm-lint: allow(panic): the enclosing loop iterates
-                    // on-chip levels only.
-                    Level::Dram => unreachable!(),
                 }
             }
         }
@@ -556,6 +641,7 @@ impl MapSpace {
 
     /// In-place form of [`neighbor`](Self::neighbor): rewrites `out` to a
     /// valid neighbour of `current`, reusing `out`'s allocations.
+    // mm-lint: hot-path — the steady-state eval loop must not allocate.
     pub fn neighbor_into<R: Rng + ?Sized>(
         &self,
         current: &Mapping,
@@ -569,6 +655,7 @@ impl MapSpace {
 
     /// Mutate one attribute in place (may leave the mapping invalid until
     /// [`repair`](Self::repair) is called).
+    // mm-lint: hot-path — the steady-state eval loop must not allocate.
     pub fn mutate_in_place<R: Rng + ?Sized>(&self, m: &mut Mapping, rng: &mut R) {
         let p = &self.problem;
         let d = p.num_dims();
@@ -672,7 +759,6 @@ impl MapSpace {
             log += 3.0 * s.log10();
         }
         // Loop orders: (d!)^3.
-        let d = p.num_dims() as f64;
         let mut logfact = 0.0;
         for i in 2..=(p.num_dims()) {
             logfact += (i as f64).log10();
@@ -682,8 +768,18 @@ impl MapSpace {
         log += p.num_tensors() as f64
             * ((self.constraints.l1_banks as f64).log10()
                 + (self.constraints.l2_banks as f64).log10());
-        let _ = d;
         log
+    }
+}
+
+/// `ln(v)` of an extent, without the call for the commonest one: `ln(1)`
+/// is `0.0` exactly.
+#[inline]
+fn ln_extent(v: u64) -> f64 {
+    if v <= 1 {
+        0.0
+    } else {
+        (v as f64).ln()
     }
 }
 
@@ -693,10 +789,24 @@ fn log_uniform<R: Rng + ?Sized>(rng: &mut R, lo: u64, hi: u64) -> u64 {
     if hi <= lo {
         return lo;
     }
-    let llo = (lo as f64).ln();
-    let lhi = (hi as f64).ln();
-    let v = rng.gen_range(llo..=lhi).exp().round() as u64;
-    v.clamp(lo, hi)
+    log_uniform_between(rng, lo, hi, ln_extent(lo), ln_extent(hi))
+}
+
+/// The draw of [`log_uniform`] for `1 <= lo < hi`, given their logarithms.
+///
+/// `x + 0.5` truncated is `x.round()` for every `1 <= x < 2^51` (the sum is
+/// exact there), without the libm call; beyond that — a dimension of 10^15 —
+/// it may differ by one before the clamp and is a valid draw all the same.
+#[inline]
+fn log_uniform_between<R: Rng + ?Sized>(
+    rng: &mut R,
+    lo: u64,
+    hi: u64,
+    ln_lo: f64,
+    ln_hi: f64,
+) -> u64 {
+    let x = rng.gen_range(ln_lo..=ln_hi).exp();
+    ((x + 0.5) as u64).clamp(lo, hi)
 }
 
 /// Perturb an extent: multiply/divide by 2 or resample log-uniformly, staying

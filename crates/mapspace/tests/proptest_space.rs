@@ -95,6 +95,46 @@ proptest! {
         prop_assert_eq!(&reprojected.loop_orders, &valid.loop_orders);
     }
 
+    /// What `repair` guarantees on a mapping that is already valid — less
+    /// than idempotence. On a product of `random_mapping`, `neighbor` or
+    /// `crossover` a second `repair` leaves tiles, parallelism and loop
+    /// orders alone and the mapping a member, but may move a buffer fraction
+    /// by a few ulp (a row normalised to a sum one ulp above 1.0 is divided
+    /// again): searchers must not skip a `repair` as redundant and expect
+    /// the same trajectory.
+    #[test]
+    fn second_repair_moves_only_fraction_ulps(
+        seed in 0u64..u64::MAX,
+        i in 1u64..512,
+        j in 1u64..512,
+        k in 1u64..512,
+        pes in 1u64..128,
+        l1 in 64u64..4096,
+        l2 in prop::sample::select(vec![1024u64, 8192, 65536]),
+    ) {
+        let space = MapSpace::new(matmul_problem(i, j, k), constraints(pes, l1, l2));
+        let mut rng = StdRng::seed_from_u64(seed);
+        let a = space.random_mapping(&mut rng);
+        let b = space.random_mapping(&mut rng);
+        let moved = space.neighbor(&a, &mut rng);
+        let child = space.crossover(&a, &b, &mut rng);
+        for once in [a, b, moved, child] {
+            let mut twice = once.clone();
+            space.repair(&mut twice);
+            prop_assert!(space.is_member(&twice), "{:?}", space.validate(&twice));
+            prop_assert_eq!(&twice.tiles, &once.tiles);
+            prop_assert_eq!(&twice.parallel, &once.parallel);
+            prop_assert_eq!(&twice.loop_orders, &once.loop_orders);
+            let fractions = |m: &Mapping| m.buffer_alloc.concat();
+            for (f, g) in fractions(&once).into_iter().zip(fractions(&twice)) {
+                // Both are positive and finite, so their bit patterns are
+                // ordered like the numbers and differ by the ulps between.
+                let ulps = f.to_bits().abs_diff(g.to_bits());
+                prop_assert!(ulps <= 4, "{} became {} ({} ulp)", f, g, ulps);
+            }
+        }
+    }
+
     /// The minimal mapping is valid for every problem/constraint pair whose
     /// L1 can hold at least one word per tensor.
     #[test]

@@ -68,6 +68,7 @@ enum Phase {
 #[derive(Debug, Clone)]
 struct SaState {
     phase: Phase,
+    /// The walk's point and its cost; see [`SaState::move_to`].
     current: Option<(Mapping, f64)>,
     /// Whether a proposal is in flight (lookahead is 1).
     outstanding: bool,
@@ -77,6 +78,20 @@ struct SaState {
     moves_at_temperature: u64,
     reports: u64,
     horizon: u64,
+}
+
+impl SaState {
+    /// Make `mapping` the walk's current point, into the storage of the
+    /// point it replaces: an accepted move allocates nothing.
+    fn move_to(&mut self, mapping: &Mapping, cost: f64) {
+        match &mut self.current {
+            Some((current, current_cost)) => {
+                current.clone_from(mapping);
+                *current_cost = cost;
+            }
+            None => self.current = Some((mapping.clone(), cost)),
+        }
+    }
 }
 
 /// Simulated Annealing searcher.
@@ -160,6 +175,7 @@ impl ProposalSearch for SimulatedAnnealing {
         crate::tele_counter(&PROPOSED, "search.sa.proposed").bump(1);
     }
 
+    // mm-lint: hot-path — the steady-state eval loop must not allocate.
     fn report(&mut self, mapping: &Mapping, cost: f64, rng: &mut StdRng) {
         // mm-lint: allow(panic): calling the strategy outside a begin()
         // session is a driver bug, not a recoverable state.
@@ -168,7 +184,7 @@ impl ProposalSearch for SimulatedAnnealing {
         state.reports += 1;
         match state.phase.clone() {
             Phase::Init => {
-                state.current = Some((mapping.clone(), cost));
+                state.move_to(mapping, cost);
                 match self.config.initial_temperature {
                     Some(t0) => self.install_schedule(t0),
                     None => {
@@ -201,7 +217,7 @@ impl ProposalSearch for SimulatedAnnealing {
                 let accept = delta <= 0.0
                     || rng.gen_range(0.0..1.0) < (-delta / state.temperature.max(1e-300)).exp();
                 if accept {
-                    state.current = Some((mapping.clone(), cost));
+                    state.move_to(mapping, cost);
                     static ACCEPTED: std::sync::OnceLock<std::sync::Arc<mm_telemetry::Counter>> =
                         std::sync::OnceLock::new();
                     crate::tele_counter(&ACCEPTED, "search.sa.accepted").bump(1);
@@ -233,7 +249,7 @@ impl ProposalSearch for SimulatedAnnealing {
             Some((_, current_cost)) => cost < *current_cost,
         };
         if improves {
-            state.current = Some((mapping.clone(), cost));
+            state.move_to(mapping, cost);
         }
     }
 }

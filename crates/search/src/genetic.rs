@@ -48,10 +48,21 @@ impl Default for GeneticConfig {
     }
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct Individual {
     mapping: Mapping,
     fitness: f64,
+    /// Position in the population when its sort began; see
+    /// [`GaState::sort_population`].
+    rank: usize,
+}
+
+impl Individual {
+    /// Overwrite in place, into the mapping storage already held.
+    fn set(&mut self, mapping: &Mapping, fitness: f64) {
+        self.mapping.clone_from(mapping);
+        self.fitness = fitness;
+    }
 }
 
 #[derive(Debug, Clone, Default)]
@@ -63,6 +74,30 @@ struct GaState {
     incoming: Vec<Individual>,
     /// Proposals in flight (proposed, not yet reported).
     outstanding: usize,
+    /// The generation before `population`, retired: its individuals are the
+    /// storage `incoming` is built in, so a generation in steady state
+    /// allocates nothing.
+    spare: Vec<Individual>,
+}
+
+impl GaState {
+    /// Sort the population by fitness, equals in the order they stand: what
+    /// a stable sort gives, without the buffer one allocates at this size.
+    fn sort_population(&mut self) {
+        for (rank, individual) in self.population.iter_mut().enumerate() {
+            individual.rank = rank;
+        }
+        self.population
+            .sort_unstable_by(|a, b| a.fitness.total_cmp(&b.fitness).then(a.rank.cmp(&b.rank)));
+    }
+
+    /// Append an individual to the generation being built, in storage taken
+    /// from the retired one.
+    fn admit(&mut self, mapping: &Mapping, fitness: f64) {
+        let mut individual = self.spare.pop().unwrap_or_default();
+        individual.set(mapping, fitness);
+        self.incoming.push(individual);
+    }
 }
 
 /// Genetic Algorithm searcher.
@@ -178,15 +213,14 @@ impl ProposalSearch for GeneticAlgorithm {
             && self.state.incoming.is_empty()
             && self.state.outstanding == 0
         {
-            self.state
-                .population
-                .sort_by(|a, b| a.fitness.total_cmp(&b.fitness));
+            self.state.sort_population();
             let elites = self.elites();
-            // mm-lint: allow(hot-path): once per generation, not per
-            // proposal — the elite snapshot is amortized over `population`
-            // proposals.
-            let seed: Vec<Individual> = self.state.population[..elites].to_vec();
-            self.state.incoming = seed;
+            // Out and back in: `admit` borrows the whole state.
+            let population = std::mem::take(&mut self.state.population);
+            for elite in &population[..elites] {
+                self.state.admit(&elite.mapping, elite.fitness);
+            }
+            self.state.population = population;
         }
         for _ in 0..max {
             if self.state.incoming.len() + self.state.outstanding >= popsize {
@@ -204,18 +238,20 @@ impl ProposalSearch for GeneticAlgorithm {
         }
     }
 
+    // mm-lint: hot-path — the steady-state eval loop must not allocate.
     fn report(&mut self, mapping: &Mapping, cost: f64, _rng: &mut StdRng) {
         debug_assert!(self.state.outstanding > 0, "report without proposal");
         self.state.outstanding = self.state.outstanding.saturating_sub(1);
-        self.state.incoming.push(Individual {
-            mapping: mapping.clone(),
-            fitness: cost,
-        });
+        self.state.admit(mapping, cost);
         static ACCEPTED: std::sync::OnceLock<std::sync::Arc<mm_telemetry::Counter>> =
             std::sync::OnceLock::new();
         crate::tele_counter(&ACCEPTED, "search.ga.accepted").bump(1);
         if self.state.incoming.len() >= self.popsize() && self.state.outstanding == 0 {
-            self.state.population = std::mem::take(&mut self.state.incoming);
+            // The generation is complete: it becomes the population, and the
+            // population it replaces the next generation's storage.
+            let state = &mut self.state;
+            state.spare.append(&mut state.population);
+            std::mem::swap(&mut state.population, &mut state.incoming);
         }
     }
 
@@ -241,10 +277,7 @@ impl ProposalSearch for GeneticAlgorithm {
             return;
         };
         if cost < self.state.population[worst].fitness {
-            self.state.population[worst] = Individual {
-                mapping: mapping.clone(),
-                fitness: cost,
-            };
+            self.state.population[worst].set(mapping, cost);
         }
     }
 }

@@ -85,7 +85,10 @@ impl ProposalSearch for RandomSearch {
         _action: SyncAction,
         _rng: &mut StdRng,
     ) {
-        self.anchor = Some(mapping.clone());
+        match &mut self.anchor {
+            Some(anchor) => anchor.clone_from(mapping),
+            None => self.anchor = Some(mapping.clone()),
+        }
     }
 }
 

@@ -8,33 +8,51 @@
 //! `// mm-lint: hot-path` tags: the lint bans allocation *tokens*, this
 //! test bans allocation *behaviour*.
 //!
+//! The same holds for the loop the searchers actually run — fresh draws,
+//! crossovers, and `SimulatedAnnealing` / `GeneticAlgorithm` driven
+//! propose → `evaluate_into` → `report` through one [`ProposalBuf`], across
+//! whole GA generations (an accepted SA move and a retired GA generation
+//! hand their storage on instead of freeing it).
+//!
 //! The same holds for the network part of a gradient-search step: encode,
 //! backward from the kept activations, decode, forward — through one
 //! reused set of buffers (`MapSpace::project`, which returns a fresh
 //! mapping, is not part of the contract).
 //!
-//! This file deliberately holds a single `#[test]`: the counter is global,
-//! so a sibling test running on another harness thread would alias it.
+//! Allocations are counted per thread: the harness's main thread does its
+//! own bookkeeping (its table of running tests, its channel's waker) after
+//! it has spawned the test's thread, and on a busy two-core box that can
+//! land milliseconds later, inside a measured window.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use mind_mappings::core::GradientScratch;
 use mind_mappings::nn::ForwardCache;
 use mind_mappings::prelude::*;
+use mind_mappings::search::ProposalBuf;
 use mind_mappings::workloads::cnn::CnnFamily;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocator calls made by this thread. Const-initialised and without a
+    /// destructor, so reading it never allocates and it outlives every
+    /// other thread-local of its thread.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
 
-// SAFETY: delegates every operation to `System`; the counter is a relaxed
-// side effect with no influence on the returned memory.
+fn count_one() {
+    ALLOCATIONS.with(|count| count.set(count.get() + 1));
+}
+
+// SAFETY: delegates every operation to `System`; the counter is a
+// thread-local side effect with no influence on the returned memory.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         unsafe { System.alloc(layout) }
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
@@ -43,7 +61,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         // A realloc that moves (or grows in place) is still allocator
         // traffic the hot path must not generate.
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -52,7 +70,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static GLOBAL: CountingAlloc = CountingAlloc;
 
 fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
+    ALLOCATIONS.with(Cell::get)
 }
 
 #[test]
@@ -120,6 +138,81 @@ fn steady_state_eval_loop_allocates_nothing() {
     assert!(best_cost.is_finite());
 
     surrogate_step_allocates_nothing(&space, &batch, &mut rng);
+    proposal_loop_allocates_nothing(&space, &model, &mut scratch, &mut rng);
+}
+
+/// Proposal generation and the searchers' report path: after warm-up, fresh
+/// draws, crossovers and the driven SA and GA loops must not allocate.
+fn proposal_loop_allocates_nothing(
+    space: &MapSpace,
+    model: &CostModel,
+    scratch: &mut EvalScratch,
+    rng: &mut StdRng,
+) {
+    let (mut a, mut b, mut child) = (Mapping::default(), Mapping::default(), Mapping::default());
+    let mut draw_and_cross = |rng: &mut StdRng| {
+        space.random_mapping_into(&mut a, rng);
+        space.random_mapping_into(&mut b, rng);
+        space.crossover_into(&a, &b, &mut child, rng);
+        assert!(space.validate(&child).is_ok());
+    };
+    draw_and_cross(rng); // warmup: the three mappings take their shape
+    let before = allocations();
+    for _ in 0..256 {
+        draw_and_cross(rng);
+    }
+    let draw_allocs = allocations() - before;
+    assert_eq!(
+        draw_allocs, 0,
+        "random_mapping_into / crossover_into allocated {draw_allocs} times over 256 rounds"
+    );
+
+    // The driven loop, as `drive` and the `Mapper` run it. The GA's
+    // population is the default 100: a generation is 98 reports, and
+    // storage cycles once two generations have retired.
+    const GENERATION: u64 = 100;
+    let searchers: [(Box<dyn ProposalSearch>, u64, u64); 2] = [
+        (Box::new(SimulatedAnnealing::default()), 256, 1024),
+        (
+            Box::new(GeneticAlgorithm::default()),
+            4 * GENERATION,
+            4 * GENERATION,
+        ),
+    ];
+    for (mut searcher, warmup, measured) in searchers {
+        searcher.begin(space, Some(warmup + measured), rng);
+        let mut buf = ProposalBuf::new();
+        let mut best = f64::INFINITY;
+        let mut evals = 0u64;
+        let mut run = |until: u64, rng: &mut StdRng| {
+            while evals < until {
+                buf.clear();
+                searcher.propose(space, rng, searcher.lookahead().min(64), &mut buf);
+                assert!(
+                    !buf.is_empty(),
+                    "a searcher with nothing in flight proposes"
+                );
+                for mapping in buf.iter() {
+                    let cost = model.evaluate_into(scratch, mapping).edp;
+                    best = best.min(cost);
+                    searcher.report(mapping, cost, rng);
+                    evals += 1;
+                }
+            }
+        };
+        run(warmup, rng);
+        let before = allocations();
+        run(warmup + measured, rng);
+        let loop_allocs = allocations() - before;
+        assert_eq!(
+            loop_allocs,
+            0,
+            "{} propose -> evaluate_into -> report allocated {loop_allocs} times over \
+             {measured} evaluations after warmup",
+            searcher.name()
+        );
+        assert!(best.is_finite());
+    }
 }
 
 /// The network part of a Phase-2 step over reused buffers: after warm-up,
