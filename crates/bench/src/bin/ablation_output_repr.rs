@@ -39,18 +39,19 @@ fn main() {
     // normalized EDP (relative energy x relative cycles), stored under the
     // same ln(1 + x) transform the meta-statistics targets use.
     let t_len = meta_dataset.target_len();
-    let scalar_targets: Vec<Vec<f32>> = meta_dataset
+    let scalar_targets: Vec<f32> = meta_dataset
         .targets
-        .iter()
+        .as_slice()
+        .chunks(t_len)
         .map(|t| {
             let energy = mm_core::dataset::denormalize_meta_element(t[t_len - 1] as f64);
             let cycles = mm_core::dataset::denormalize_meta_element(t[t_len - 2] as f64);
-            vec![(energy * cycles).ln_1p() as f32]
+            (energy * cycles).ln_1p() as f32
         })
         .collect();
     let scalar_dataset = SurrogateDataset {
         inputs: meta_dataset.inputs.clone(),
-        targets: scalar_targets,
+        targets: mm_nn::Matrix::from_vec(meta_dataset.len(), 1, scalar_targets),
         num_dims: meta_dataset.num_dims,
         num_tensors: meta_dataset.num_tensors,
     };

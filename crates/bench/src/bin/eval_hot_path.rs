@@ -19,8 +19,14 @@
 //! of [`MapSpace::repair`] on an already-valid mapping (copied into the slot
 //! first), each as a multiple of one `evaluate_into`.
 //!
-//! Backs the EXPERIMENTS.md "Zero-alloc eval hot path", "Cost kernel" and
-//! "Proposal generation" tables; the last lines printed are ns per
+//! And the surrogate's kernels (quick-scale network, one CNN surrogate): ns
+//! per generated training sample, per training sample-epoch (`Surrogate::train`
+//! wall over samples × epochs, the per-epoch test pass included), per
+//! one-row forward pass and per input gradient, the last two through the
+//! reused buffers a gradient-search step uses.
+//!
+//! Backs the EXPERIMENTS.md "Zero-alloc eval hot path", "Cost kernel",
+//! "Proposal generation" and "Surrogate kernels and Phase 1" tables; the last lines printed are ns per
 //! evaluation of the reference walk against the kernel and ns per proposal
 //! against the kernel, so both ratios are visible in a CI log. Purely
 //! informational — `BENCH_mapper.json` (regenerated by
@@ -31,10 +37,12 @@
 use mm_accel::reuse::count_accesses;
 use mm_accel::{BatchCosts, CostModel, EvalScratch};
 use mm_bench::report::{self, fmt, format_table, Stopwatch};
-use mm_bench::{train_surrogate, ExperimentScale};
+use mm_bench::ExperimentScale;
+use mm_core::{generate_training_set, GradientScratch, Surrogate};
 use mm_mapspace::mapping::Level;
 use mm_mapspace::{MapSpace, Mapping};
-use mm_workloads::table1::Algorithm;
+use mm_nn::ForwardCache;
+use mm_workloads::cnn::CnnFamily;
 use mm_workloads::{evaluated_accelerator, table1};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -46,7 +54,7 @@ fn main() {
     let target = table1::by_name("ResNet Conv_4").expect("table1 problem");
     let arch = evaluated_accelerator();
     let space = MapSpace::new(target.problem.clone(), arch.mapping_constraints());
-    let model = CostModel::new(arch, target.problem.clone());
+    let model = CostModel::new(arch.clone(), target.problem.clone());
     let mut rng = StdRng::seed_from_u64(7);
 
     // One shared pool of valid mappings, cycled by every path, so each
@@ -92,10 +100,23 @@ fn main() {
 
     // Surrogate batched forward pass (quick-scale training: the table
     // compares throughput, not fidelity).
-    let scale = ExperimentScale::quick();
+    let phase1 = ExperimentScale::quick().phase1_config();
     let mut train_rng = StdRng::seed_from_u64(0xE7A1);
+    let watch = Stopwatch::start();
+    let dataset = generate_training_set(
+        &arch,
+        &CnnFamily::default(),
+        phase1.num_samples,
+        phase1.mappings_per_problem,
+        &mut train_rng,
+    )
+    .expect("dataset generates");
+    let sample_ns = 1e9 * watch.elapsed_s() / phase1.num_samples as f64;
+    let watch = Stopwatch::start();
     let (surrogate, _) =
-        train_surrogate(Algorithm::CnnLayer, &scale, &mut train_rng).expect("surrogate trains");
+        Surrogate::train(arch, &dataset, &phase1, &mut train_rng).expect("surrogate trains");
+    let sample_epoch_ns =
+        1e9 * watch.elapsed_s() / (phase1.num_samples * phase1.epochs.max(1)) as f64;
     let sur_evals = (evals / 10).max(BATCH);
     let sur_rounds = sur_evals / BATCH;
     let watch = Stopwatch::start();
@@ -184,5 +205,28 @@ fn main() {
     println!(
         "{}",
         format_table(&["proposal path", "ns/call", "evaluate_into's"], &rows)
+    );
+
+    // The surrogate's kernels, through the buffers a gradient-search step
+    // reuses.
+    let xs: Vec<Vec<f32>> = pool
+        .iter()
+        .map(|m| surrogate.encode_normalized(&target.problem, m))
+        .collect();
+    let (mut cache, mut gradient) = (ForwardCache::default(), GradientScratch::default());
+    let watch = Stopwatch::start();
+    for i in 0..sur_evals {
+        sink += surrogate.predict_normalized_edp_into(&xs[i % xs.len()], &mut cache);
+    }
+    let forward_ns = 1e9 * watch.elapsed_s() / sur_evals as f64;
+    let watch = Stopwatch::start();
+    for _ in 0..sur_evals {
+        sink += f64::from(surrogate.normalized_edp_gradient_into(&cache, &mut gradient)[0]);
+    }
+    let gradient_ns = 1e9 * watch.elapsed_s() / sur_evals as f64;
+    std::hint::black_box(sink);
+    println!(
+        "surrogate: {sample_ns:.0} ns/generated sample, {sample_epoch_ns:.0} ns/training \
+         sample-epoch, {forward_ns:.0} ns/forward, {gradient_ns:.0} ns/input gradient"
     );
 }

@@ -53,7 +53,7 @@ impl MindMappings {
             config.mappings_per_problem,
             rng,
         )?;
-        let (surrogate, history) = Surrogate::train(arch.clone(), &dataset, config, rng)?;
+        let (surrogate, history) = Surrogate::train_owned(arch.clone(), dataset, config, rng)?;
         Ok((
             MindMappings {
                 arch,

@@ -8,24 +8,26 @@
 //! normalized element-wise by the problem's algorithmic-minimum bound to
 //! reduce cross-problem variance.
 
-use mm_accel::{AlgorithmicMinimum, Architecture, CostModel};
+use mm_accel::{AlgorithmicMinimum, Architecture, CostModel, EvalScratch};
 use mm_mapspace::mapping::Level;
 use mm_mapspace::problem::ProblemFamily;
-use mm_mapspace::{Encoding, MapSpace, ProblemSpec};
+use mm_mapspace::{Encoding, MapSpace, Mapping, ProblemSpec};
+use mm_nn::Matrix;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 use crate::MindMappingsError;
 
-/// A generated surrogate training set.
+/// A generated surrogate training set: one flat row-major matrix per side,
+/// one row per example.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SurrogateDataset {
     /// Raw (un-whitened) input vectors: problem id followed by the encoded
     /// mapping (62 values for CNN-Layer, 40 for MTTKRP).
-    pub inputs: Vec<Vec<f32>>,
+    pub inputs: Matrix,
     /// Lower-bound-normalized meta-statistics targets (12 values for
     /// CNN-Layer, 15 for MTTKRP).
-    pub targets: Vec<Vec<f32>>,
+    pub targets: Matrix,
     /// Number of problem dimensions of the family.
     pub num_dims: usize,
     /// Number of tensors of the family.
@@ -35,30 +37,33 @@ pub struct SurrogateDataset {
 impl SurrogateDataset {
     /// Number of examples.
     pub fn len(&self) -> usize {
-        self.inputs.len()
+        self.inputs.rows()
     }
 
     /// Whether the dataset is empty.
     pub fn is_empty(&self) -> bool {
-        self.inputs.is_empty()
+        self.inputs.rows() == 0
     }
 
     /// Input vector length (problem id + mapping encoding).
     pub fn input_len(&self) -> usize {
-        self.inputs.first().map_or(0, Vec::len)
+        self.inputs.cols()
     }
 
     /// Target vector length (meta-statistics).
     pub fn target_len(&self) -> usize {
-        self.targets.first().map_or(0, Vec::len)
+        self.targets.cols()
     }
 
     /// Keep only the first `n` examples (used by the Figure 7c dataset-size
     /// sensitivity study).
     pub fn truncated(&self, n: usize) -> SurrogateDataset {
+        let n = n.min(self.len());
+        let first_rows =
+            |m: &Matrix| Matrix::from_vec(n, m.cols(), m.as_slice()[..n * m.cols()].to_vec());
         SurrogateDataset {
-            inputs: self.inputs.iter().take(n).cloned().collect(),
-            targets: self.targets.iter().take(n).cloned().collect(),
+            inputs: first_rows(&self.inputs),
+            targets: first_rows(&self.targets),
             num_dims: self.num_dims,
             num_tensors: self.num_tensors,
         }
@@ -88,8 +93,8 @@ pub fn lower_bound_reference(arch: &Architecture, problem: &ProblemSpec) -> Vec<
     denom
 }
 
-/// The lower-bound-normalized meta-statistics of one mapping: the surrogate's
-/// training target.
+/// Append the lower-bound-normalized meta-statistics of one mapping — the
+/// surrogate's training target — to `out`, evaluating through `scratch`.
 ///
 /// Each element is `ln(1 + value / lower_bound)`. The log compresses the
 /// heavy-tailed cost distribution of the map space (Section 5.1.3 reports a
@@ -99,16 +104,24 @@ pub fn lower_bound_reference(arch: &Architecture, problem: &ProblemSpec) -> Vec<
 /// by [`crate::Surrogate`] when predicting, so the public semantics
 /// (lower-bound-relative costs) are unchanged. This deviation is recorded in
 /// EXPERIMENTS.md ("Figures 5/6").
-pub fn normalized_meta_statistics(
+///
+/// The elements are those of
+/// [`CostBreakdown::meta_statistics`](mm_accel::CostBreakdown::meta_statistics),
+/// read where `evaluate_into` leaves them.
+fn push_normalized_meta_statistics(
     model: &CostModel,
+    scratch: &mut EvalScratch,
     reference: &[f64],
-    mapping: &mm_mapspace::Mapping,
-) -> Vec<f32> {
-    let meta = model.evaluate(mapping).meta_statistics();
-    meta.iter()
-        .zip(reference)
-        .map(|(&m, &r)| (m / r).ln_1p() as f32)
-        .collect()
+    mapping: &Mapping,
+    out: &mut Vec<f32>,
+) {
+    let summary = model.evaluate_into(scratch, mapping);
+    let meta = scratch.energy_pj().iter().flatten().copied().chain([
+        summary.utilization,
+        summary.cycles,
+        summary.total_energy_pj,
+    ]);
+    out.extend(meta.zip(reference).map(|(m, &r)| (m / r).ln_1p() as f32));
 }
 
 /// Invert the per-element target transform: recover `value / lower_bound`
@@ -138,9 +151,18 @@ pub fn generate_training_set<F: ProblemFamily + ?Sized, R: Rng>(
         });
     }
     let per_problem = mappings_per_problem.max(1);
-    let mut inputs = Vec::with_capacity(num_samples);
-    let mut targets = Vec::with_capacity(num_samples);
+    let input_len = Encoding {
+        num_dims: family.num_dims(),
+        num_tensors: family.num_tensors(),
+    }
+    .total_len();
+    let target_len = 3 * family.num_tensors() + 3;
+    let mut inputs = Vec::with_capacity(num_samples * input_len);
+    let mut targets = Vec::with_capacity(num_samples * target_len);
     let constraints = arch.mapping_constraints();
+    let mut mapping = Mapping::default();
+    let mut encoded = Vec::with_capacity(input_len);
+    let mut scratch = EvalScratch::new();
 
     let mut remaining = num_samples;
     while remaining > 0 {
@@ -151,16 +173,23 @@ pub fn generate_training_set<F: ProblemFamily + ?Sized, R: Rng>(
         let reference = lower_bound_reference(arch, &problem);
         let batch = per_problem.min(remaining);
         for _ in 0..batch {
-            let mapping = space.random_mapping(rng);
-            inputs.push(enc.encode(&problem, &mapping));
-            targets.push(normalized_meta_statistics(&model, &reference, &mapping));
+            space.random_mapping_into(&mut mapping, rng);
+            enc.encode_into(&problem, &mapping, &mut encoded);
+            inputs.extend_from_slice(&encoded);
+            push_normalized_meta_statistics(
+                &model,
+                &mut scratch,
+                &reference,
+                &mapping,
+                &mut targets,
+            );
         }
         remaining -= batch;
     }
 
     Ok(SurrogateDataset {
-        inputs,
-        targets,
+        inputs: Matrix::from_vec(num_samples, input_len, inputs),
+        targets: Matrix::from_vec(num_samples, target_len, targets),
         num_dims: family.num_dims(),
         num_tensors: family.num_tensors(),
     })
@@ -208,13 +237,45 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let ds = generate_training_set(&arch, &fam, 60, 20, &mut rng).unwrap();
         let t_len = ds.target_len();
-        for target in &ds.targets {
+        for target in ds.targets.as_slice().chunks(t_len) {
             assert!(target.iter().all(|&v| v.is_finite() && v >= 0.0));
             let cycles_rel = denormalize_meta_element(target[t_len - 2] as f64);
             let energy_rel = denormalize_meta_element(target[t_len - 1] as f64);
             assert!(cycles_rel >= 0.99, "cycles below lower bound: {cycles_rel}");
             assert!(energy_rel >= 0.99, "energy below lower bound: {energy_rel}");
         }
+    }
+
+    #[test]
+    fn samples_are_the_allocating_walk_to_the_bit() {
+        // The generator draws, encodes and labels through reused buffers; the
+        // forms that return fresh values are its reference: same RNG stream,
+        // same sample bits.
+        let arch = Architecture::example();
+        let fam = Conv1dFamily::default();
+        let ds = generate_training_set(&arch, &fam, 45, 20, &mut StdRng::seed_from_u64(9)).unwrap();
+
+        let mut rng = StdRng::seed_from_u64(9);
+        let (mut inputs, mut targets) = (Vec::new(), Vec::new());
+        for batch in [20, 20, 5] {
+            let problem = fam.sample_problem(&mut rng);
+            let space = MapSpace::new(problem.clone(), arch.mapping_constraints());
+            let model = CostModel::new(arch.clone(), problem.clone());
+            let reference = lower_bound_reference(&arch, &problem);
+            for _ in 0..batch {
+                let mapping = space.random_mapping(&mut rng);
+                inputs.extend(Encoding::for_problem(&problem).encode(&problem, &mapping));
+                let meta = model.evaluate(&mapping).meta_statistics();
+                targets.extend(
+                    meta.iter()
+                        .zip(&reference)
+                        .map(|(&m, &r)| (m / r).ln_1p() as f32),
+                );
+            }
+        }
+        let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(ds.inputs.as_slice()), bits(&inputs));
+        assert_eq!(bits(ds.targets.as_slice()), bits(&targets));
     }
 
     #[test]

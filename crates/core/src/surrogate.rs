@@ -56,24 +56,37 @@ impl Surrogate {
         config: &Phase1Config,
         rng: &mut R,
     ) -> Result<(Self, TrainHistory), MindMappingsError> {
+        Self::train_owned(arch, dataset.clone(), config, rng)
+    }
+
+    /// [`train`](Self::train) on a dataset the caller is done with: the
+    /// samples are whitened where they lie, so training holds them once.
+    pub(crate) fn train_owned<R: Rng>(
+        arch: Architecture,
+        dataset: SurrogateDataset,
+        config: &Phase1Config,
+        rng: &mut R,
+    ) -> Result<(Self, TrainHistory), MindMappingsError> {
         if dataset.is_empty() {
             return Err(MindMappingsError::Training {
                 what: "empty dataset".to_string(),
             });
         }
+        let (num_dims, num_tensors) = (dataset.num_dims, dataset.num_tensors);
         let input_norm = Normalizer::fit(&dataset.inputs);
         let output_norm = Normalizer::fit(&dataset.targets);
-        let raw = Dataset::new(dataset.inputs.clone(), dataset.targets.clone()).map_err(|e| {
-            MindMappingsError::Training {
-                what: e.to_string(),
-            }
-        })?;
-        let normalized = raw.normalized(&input_norm, &output_norm);
+        let mut normalized =
+            Dataset::from_matrices(dataset.inputs, dataset.targets).map_err(|e| {
+                MindMappingsError::Training {
+                    what: e.to_string(),
+                }
+            })?;
+        normalized.normalize(&input_norm, &output_norm);
 
         let mut widths = Vec::with_capacity(config.hidden_layers.len() + 2);
-        widths.push(dataset.input_len());
+        widths.push(normalized.input_dim());
         widths.extend_from_slice(&config.hidden_layers);
-        widths.push(dataset.target_len());
+        widths.push(normalized.target_dim());
         let mut mlp = Mlp::new(&widths, rng);
 
         let mut trainer = Trainer::new(TrainConfig {
@@ -90,8 +103,8 @@ impl Surrogate {
                 mlp,
                 input_norm,
                 output_norm,
-                num_dims: dataset.num_dims,
-                num_tensors: dataset.num_tensors,
+                num_dims,
+                num_tensors,
                 arch,
             },
             history,
@@ -367,6 +380,7 @@ mod tests {
     use crate::dataset::generate_training_set;
     use mm_accel::CostModel;
     use mm_mapspace::MapSpace;
+    use mm_nn::Matrix;
     use mm_workloads::conv1d::Conv1dFamily;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -408,8 +422,8 @@ mod tests {
     fn rejects_empty_dataset() {
         let arch = Architecture::example();
         let ds = SurrogateDataset {
-            inputs: vec![],
-            targets: vec![],
+            inputs: Matrix::default(),
+            targets: Matrix::default(),
             num_dims: 2,
             num_tensors: 3,
         };

@@ -17,23 +17,16 @@ pub enum Activation {
 }
 
 impl Activation {
-    /// Apply the activation element-wise.
-    pub fn forward(&self, x: &Matrix) -> Matrix {
-        let mut out = x.clone();
-        self.forward_in_place(&mut out);
-        out
-    }
-
-    /// In-place form of [`forward`](Self::forward).
+    /// Apply the activation element-wise, in place.
     // mm-lint: hot-path — every forward pass runs through here.
     pub fn forward_in_place(&self, x: &mut Matrix) {
         match self {
             Activation::Identity => {}
             Activation::Relu => {
+                // A select, not a conditional store: about half the values
+                // are negative, in no predictable order.
                 for v in x.as_mut_slice() {
-                    if *v < 0.0 {
-                        *v = 0.0;
-                    }
+                    *v = if *v < 0.0 { 0.0 } else { *v };
                 }
             }
             Activation::Tanh => {
@@ -44,26 +37,17 @@ impl Activation {
         }
     }
 
-    /// Back-propagate through the activation: element-wise product of the
-    /// upstream gradient with the activation derivative evaluated at the
-    /// *pre-activation* input `x`.
-    pub fn backward(&self, x: &Matrix, grad_out: &Matrix) -> Matrix {
-        let mut grad = grad_out.clone();
-        self.backward_in_place(x, &mut grad);
-        grad
-    }
-
-    /// In-place form of [`backward`](Self::backward): `grad` holds the
-    /// upstream gradient on entry and the downstream one on return.
+    /// Back-propagate through the activation, in place: element-wise product
+    /// of the upstream gradient with the activation derivative evaluated at
+    /// the *pre-activation* input `x`. `grad` holds the upstream gradient on
+    /// entry and the downstream one on return.
     // mm-lint: hot-path — every backward pass runs through here.
     pub fn backward_in_place(&self, x: &Matrix, grad: &mut Matrix) {
         match self {
             Activation::Identity => {}
             Activation::Relu => {
                 for (g, &xv) in grad.as_mut_slice().iter_mut().zip(x.as_slice()) {
-                    if xv <= 0.0 {
-                        *g = 0.0;
-                    }
+                    *g = if xv <= 0.0 { 0.0 } else { *g };
                 }
             }
             Activation::Tanh => {
@@ -77,16 +61,23 @@ impl Activation {
 }
 
 /// A fully connected layer `y = x Wᵀ + b`.
+///
+/// The weights are held twice: as `[out_features, in_features]` (what the
+/// backward pass and the optimizers walk) and as its `[in_features,
+/// out_features]` transpose (what the forward product walks, so that its
+/// loads are contiguous too). The fields are private and the only way to
+/// change a parameter is [`update`](Self::update), which re-lays the
+/// transpose out before it returns: a forward pass cannot see a stale copy.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Linear {
-    /// Weight matrix of shape `[out_features, in_features]`.
-    pub weight: Matrix,
-    /// Bias vector of length `out_features`.
-    pub bias: Vec<f32>,
+    weight: Matrix,
+    /// `weight` transposed; rebuilt by every [`update`](Self::update).
+    weight_t: Matrix,
+    bias: Vec<f32>,
 }
 
 /// Gradients of a [`Linear`] layer's parameters.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct LinearGrad {
     /// Gradient w.r.t. the weight matrix (same shape as the weights).
     pub weight: Matrix,
@@ -102,10 +93,45 @@ impl Linear {
         for v in weight.as_mut_slice() {
             *v = rng.gen_range(-bound..bound);
         }
+        Linear::from_parts(weight, vec![0.0; out_features])
+    }
+
+    /// A layer with the given `[out_features, in_features]` weights and
+    /// bias.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bias.len() != weight.rows()`.
+    pub fn from_parts(weight: Matrix, bias: Vec<f32>) -> Self {
+        assert_eq!(bias.len(), weight.rows(), "one bias per output feature");
+        let mut weight_t = Matrix::default();
+        weight.transpose_into(&mut weight_t);
         Linear {
             weight,
-            bias: vec![0.0; out_features],
+            weight_t,
+            bias,
         }
+    }
+
+    /// The weight matrix, shape `[out_features, in_features]`.
+    pub fn weight(&self) -> &Matrix {
+        &self.weight
+    }
+
+    /// The bias vector, length `out_features`.
+    pub fn bias(&self) -> &[f32] {
+        &self.bias
+    }
+
+    /// The one way to change the parameters: `change` gets the row-major
+    /// `[out_features, in_features]` weights and the bias, and the layout the
+    /// forward pass reads is rebuilt from what it leaves (`in × out` copies,
+    /// against the `batch × in × out` products of the step that called for
+    /// the update).
+    // mm-lint: hot-path — one call per layer per training step.
+    pub fn update(&mut self, change: impl FnOnce(&mut [f32], &mut [f32])) {
+        change(self.weight.as_mut_slice(), &mut self.bias);
+        self.weight.transpose_into(&mut self.weight_t);
     }
 
     /// Input feature count.
@@ -123,18 +149,15 @@ impl Linear {
         self.weight.rows() * self.weight.cols() + self.bias.len()
     }
 
-    /// Forward pass for a batch `x` of shape `[batch, in_features]`.
-    pub fn forward(&self, x: &Matrix) -> Matrix {
-        let mut y = Matrix::default();
-        self.forward_into(x, &mut y);
-        y
-    }
-
-    /// In-place form of [`forward`](Self::forward): `y` is reshaped (its
-    /// allocation reused) and overwritten.
+    /// Forward pass for a batch `x` of shape `[batch, in_features]`: `y` is
+    /// reshaped (its allocation reused) and overwritten.
+    ///
+    /// A zero input (ReLU's, mostly) is skipped, not multiplied: the same
+    /// bits for finite weights, and no NaN from a `0 · ±∞` or `0 · NaN`
+    /// against a weight that has diverged.
     // mm-lint: hot-path — every forward pass runs through here.
     pub fn forward_into(&self, x: &Matrix, y: &mut Matrix) {
-        x.matmul_transpose_b_into(&self.weight, y);
+        x.matmul_into(&self.weight_t, y);
         for r in 0..y.rows() {
             for (v, b) in y.row_mut(r).iter_mut().zip(&self.bias) {
                 *v += b;
@@ -142,19 +165,9 @@ impl Linear {
         }
     }
 
-    /// Backward pass: given the batch input `x` and upstream gradient
-    /// `grad_out` (shape `[batch, out_features]`), returns the gradient
-    /// w.r.t. the input (shape `[batch, in_features]`) and the parameter
-    /// gradients.
-    pub fn backward(&self, x: &Matrix, grad_out: &Matrix) -> (Matrix, LinearGrad) {
-        let mut grad_input = Matrix::default();
-        self.backward_input_into(grad_out, &mut grad_input);
-        (grad_input, LinearGrad::from_batch(x, grad_out))
-    }
-
-    /// The input half of [`backward`](Self::backward), in place:
-    /// `grad_input` is reshaped (its allocation reused) and overwritten with
-    /// `dX = dY · W`.
+    /// The input half of the backward pass: `grad_input` is reshaped (its
+    /// allocation reused) and overwritten with `dX = dY · W` for the
+    /// upstream gradient `grad_out` (shape `[batch, out_features]`).
     // mm-lint: hot-path — the input-only backward pass must not allocate.
     pub fn backward_input_into(&self, grad_out: &Matrix, grad_input: &mut Matrix) {
         grad_out.matmul_into(&self.weight, grad_input);
@@ -162,13 +175,12 @@ impl Linear {
 }
 
 impl LinearGrad {
-    /// The parameter half of [`Linear::backward`]: `dW = dYᵀ · X` and the
-    /// bias gradient (column sums of `dY`) for the batch input `x`.
-    pub fn from_batch(x: &Matrix, grad_out: &Matrix) -> Self {
-        LinearGrad {
-            weight: grad_out.transpose_a_matmul(x),
-            bias: grad_out.column_sums(),
-        }
+    /// The parameter half of the backward pass, in place: `dW = dYᵀ · X` and
+    /// the bias gradient (column sums of `dY`) for the batch input `x`.
+    // mm-lint: hot-path — one call per layer per training step.
+    pub fn fill_from_batch(&mut self, x: &Matrix, grad_out: &Matrix) {
+        grad_out.transpose_a_matmul_into(x, &mut self.weight);
+        grad_out.column_sums_into(&mut self.bias);
     }
 }
 
@@ -178,29 +190,57 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    fn forward(layer: &Linear, x: &Matrix) -> Matrix {
+        let mut y = Matrix::default();
+        layer.forward_into(x, &mut y);
+        y
+    }
+
     #[test]
     fn linear_forward_matches_hand_computation() {
-        let layer = Linear {
-            weight: Matrix::from_vec(2, 3, vec![1., 0., -1., 2., 1., 0.]),
-            bias: vec![0.5, -0.5],
-        };
+        let layer = Linear::from_parts(
+            Matrix::from_vec(2, 3, vec![1., 0., -1., 2., 1., 0.]),
+            vec![0.5, -0.5],
+        );
         let x = Matrix::from_vec(1, 3, vec![1., 2., 3.]);
-        let y = layer.forward(&x);
+        let y = forward(&layer, &x);
         // y0 = 1 - 3 + 0.5 = -1.5 ; y1 = 2 + 2 - 0.5 = 3.5
         assert_eq!(y.as_slice(), &[-1.5, 3.5]);
     }
 
     #[test]
+    fn update_is_seen_by_the_next_forward() {
+        let mut layer =
+            Linear::from_parts(Matrix::from_vec(2, 2, vec![1., 2., 3., 4.]), vec![0.; 2]);
+        let x = Matrix::from_vec(1, 2, vec![1., 10.]);
+        assert_eq!(forward(&layer, &x).as_slice(), &[21., 43.]);
+        layer.update(|w, b| {
+            w[1] = -2.0;
+            b[1] = 0.5;
+        });
+        assert_eq!(layer.weight().as_slice(), &[1., -2., 3., 4.]);
+        assert_eq!(forward(&layer, &x).as_slice(), &[-19., 43.5]);
+    }
+
+    #[test]
     fn relu_and_tanh_forward_backward() {
         let x = Matrix::from_vec(1, 3, vec![-1., 0., 2.]);
-        let relu = Activation::Relu.forward(&x);
-        assert_eq!(relu.as_slice(), &[0., 0., 2.]);
-        let g = Activation::Relu.backward(&x, &Matrix::from_vec(1, 3, vec![1., 1., 1.]));
-        assert_eq!(g.as_slice(), &[0., 0., 1.]);
+        let forward = |act: Activation| {
+            let mut y = x.clone();
+            act.forward_in_place(&mut y);
+            y
+        };
+        let backward = |act: Activation| {
+            let mut g = Matrix::from_vec(1, 3, vec![1., 1., 1.]);
+            act.backward_in_place(&x, &mut g);
+            g
+        };
+        assert_eq!(forward(Activation::Relu).as_slice(), &[0., 0., 2.]);
+        assert_eq!(backward(Activation::Relu).as_slice(), &[0., 0., 1.]);
 
-        let t = Activation::Tanh.forward(&x);
+        let t = forward(Activation::Tanh);
         assert!((t.as_slice()[2] - 2.0f32.tanh()).abs() < 1e-6);
-        let g = Activation::Tanh.backward(&x, &Matrix::from_vec(1, 3, vec![1., 1., 1.]));
+        let g = backward(Activation::Tanh);
         assert!((g.as_slice()[1] - 1.0).abs() < 1e-6); // derivative at 0 is 1
     }
 
@@ -211,16 +251,18 @@ mod tests {
         let x = Matrix::from_vec(2, 4, (0..8).map(|i| i as f32 * 0.1 - 0.3).collect());
         // Scalar objective: sum of outputs.
         let ones = Matrix::from_vec(2, 3, vec![1.0; 6]);
-        let (grad_in, grads) = layer.backward(&x, &ones);
+        let mut grad_in = Matrix::default();
+        layer.backward_input_into(&ones, &mut grad_in);
+        let mut grads = LinearGrad::default();
+        grads.fill_from_batch(&x, &ones);
 
         let eps = 1e-3f32;
-        let obj = |l: &Linear, xx: &Matrix| -> f32 { l.forward(xx).as_slice().iter().sum() };
+        let obj = |l: &Linear, xx: &Matrix| -> f32 { forward(l, xx).as_slice().iter().sum() };
 
         // Check one weight.
         let mut perturbed = layer.clone();
         let base = obj(&layer, &x);
-        let w00 = perturbed.weight.get(0, 0);
-        perturbed.weight.set(0, 0, w00 + eps);
+        perturbed.update(|w, _| w[0] += eps);
         let fd = (obj(&perturbed, &x) - base) / eps;
         assert!(
             (fd - grads.weight.get(0, 0)).abs() < 1e-2,
@@ -230,7 +272,7 @@ mod tests {
 
         // Check one bias.
         let mut perturbed = layer.clone();
-        perturbed.bias[1] += eps;
+        perturbed.update(|_, b| b[1] += eps);
         let fd = (obj(&perturbed, &x) - base) / eps;
         assert!((fd - grads.bias[1]).abs() < 1e-2);
 

@@ -61,19 +61,21 @@ impl Loss {
         total / n
     }
 
-    /// Gradient of the averaged loss with respect to the predictions.
+    /// Gradient of the averaged loss with respect to the predictions, into
+    /// `grad`, which is reshaped (its allocation reused) and overwritten.
     ///
     /// # Panics
     ///
     /// Panics if `prediction` and `target` shapes differ.
-    pub fn gradient(&self, prediction: &Matrix, target: &Matrix) -> Matrix {
+    // mm-lint: hot-path — one call per training step.
+    pub fn gradient_into(&self, prediction: &Matrix, target: &Matrix, grad: &mut Matrix) {
         assert_eq!(
             (prediction.rows(), prediction.cols()),
             (target.rows(), target.cols()),
             "loss shape mismatch"
         );
         let n = (prediction.rows() * prediction.cols()).max(1) as f32;
-        let mut grad = Matrix::zeros(prediction.rows(), prediction.cols());
+        grad.reset(prediction.rows(), prediction.cols());
         for ((g, &p), &t) in grad
             .as_mut_slice()
             .iter_mut()
@@ -94,7 +96,6 @@ impl Loss {
                 }
             } / n;
         }
-        grad
     }
 }
 
@@ -111,6 +112,15 @@ impl std::fmt::Display for Loss {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Loss {
+        fn gradient(&self, prediction: &Matrix, target: &Matrix) -> Matrix {
+            // Into a buffer that held another shape.
+            let mut grad = Matrix::zeros(1, 7);
+            self.gradient_into(prediction, target, &mut grad);
+            grad
+        }
+    }
 
     fn pt() -> (Matrix, Matrix) {
         (

@@ -1,15 +1,97 @@
 //! A small row-major `f32` matrix with exactly the kernels the MLP needs.
 //!
-//! Deliberately minimal: the surrogate networks are small enough (a few
-//! hundred thousand parameters in the default experiment configuration) that
-//! a cache-friendly naive GEMM is adequate, and keeping the type simple makes
-//! the backpropagation code easy to audit.
+//! Deliberately minimal: the surrogate networks are small (a few hundred
+//! thousand parameters in the default experiment configuration), so one
+//! row-update kernel (`accumulate`) under all three products is adequate,
+//! and keeping the type simple makes the backpropagation code easy to audit.
 
 use serde::{Deserialize, Serialize};
 
-/// Rows of `other` that [`Matrix::matmul_transpose_b_into`] computes per pass
-/// over `k`, one independent accumulator each.
-const DOT_BLOCK: usize = 8;
+/// Nonzero multipliers [`accumulate`] compacts before it sweeps the columns.
+const K_CHUNK: usize = 256;
+/// Columns [`accumulate`] holds in registers per sweep of the compacted
+/// list: eight 4-lane vectors, enough independent add chains to cover the
+/// add latency.
+const WIDE: usize = 32;
+/// The narrower block for what is left of a row after the wide ones.
+const NARROW: usize = 8;
+
+/// The one product kernel: `out[j] += Σ a · b[k][j]` over the **nonzero**
+/// multipliers `a` (the `k`-th item of `multipliers`, pairing with row `k`
+/// of the row-major `b`, `out.len()` columns wide), `k` ascending.
+///
+/// The nonzero multipliers are compacted branch-free into a stack list
+/// (ReLU's zeros would otherwise be an unpredictable branch per `k`); then,
+/// per block of columns, the accumulators are loaded once, take every listed
+/// product in turn, and are stored once — so the loads of `b` are contiguous
+/// and the loop vectorises across columns. Each output element still adds
+/// its products one by one in ascending `k`, nothing is reassociated or
+/// fused: it has the bits the scalar `out[j] += a * b[k][j]` loop gives.
+///
+/// Skipping a zero multiplier is bit-neutral while `b` is finite: an
+/// accumulator that starts at `+0.0` never holds `-0.0`, so adding `±0.0`
+/// leaves it as it is. A `0 · ±∞` or `0 · NaN` product is dropped, not
+/// turned into NaN.
+// mm-lint: hot-path — all three products of every pass run through here.
+fn accumulate<'a>(multipliers: impl Iterator<Item = &'a f32>, b: &[f32], out: &mut [f32]) {
+    let n = out.len();
+    let mut values = [0.0f32; K_CHUNK];
+    let mut offsets = [0usize; K_CHUNK];
+    let mut multipliers = multipliers.enumerate();
+    loop {
+        let mut len = 0;
+        while len < K_CHUNK {
+            let Some((k, &a)) = multipliers.next() else {
+                break;
+            };
+            values[len] = a;
+            offsets[len] = k * n;
+            len += usize::from(a != 0.0);
+        }
+        if len == 0 {
+            return;
+        }
+        let (values, offsets) = (&values[..len], &offsets[..len]);
+        let mut c = 0;
+        while c + WIDE <= n {
+            accumulate_block::<WIDE>(values, offsets, &b[c..], &mut out[c..c + WIDE]);
+            c += WIDE;
+        }
+        while c + NARROW <= n {
+            accumulate_block::<NARROW>(values, offsets, &b[c..], &mut out[c..c + NARROW]);
+            c += NARROW;
+        }
+        // Fewer than NARROW columns left: one sweep, a chain each.
+        let tail = &mut out[c..];
+        if !tail.is_empty() {
+            let mut acc = [0.0f32; NARROW];
+            acc[..tail.len()].copy_from_slice(tail);
+            for (&a, &offset) in values.iter().zip(offsets) {
+                let brow = &b[offset + c..offset + c + tail.len()];
+                for (s, &w) in acc.iter_mut().zip(brow) {
+                    *s += a * w;
+                }
+            }
+            tail.copy_from_slice(&acc[..tail.len()]);
+        }
+        if len < K_CHUNK {
+            return;
+        }
+    }
+}
+
+/// `W` columns of [`accumulate`]: `b` starts at the block's first column.
+#[inline(always)]
+fn accumulate_block<const W: usize>(values: &[f32], offsets: &[usize], b: &[f32], out: &mut [f32]) {
+    let mut acc = [0.0f32; W];
+    acc.copy_from_slice(out);
+    for (&a, &offset) in values.iter().zip(offsets) {
+        for (s, &w) in acc.iter_mut().zip(&b[offset..offset + W]) {
+            *s += a * w;
+        }
+    }
+    out.copy_from_slice(&acc);
+}
 
 /// Dense row-major matrix of `f32`.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
@@ -113,7 +195,7 @@ impl Matrix {
     }
 
     /// Become the `rows × cols` zero matrix, reusing the allocation.
-    fn reset(&mut self, rows: usize, cols: usize) {
+    pub(crate) fn reset(&mut self, rows: usize, cols: usize) {
         self.rows = rows;
         self.cols = cols;
         self.data.clear();
@@ -139,141 +221,66 @@ impl Matrix {
         self.copy_from_slice(other.rows, other.cols, &other.data);
     }
 
-    /// `self · other` (standard matrix product).
+    /// `self · other` (standard matrix product): `out` is reshaped (its
+    /// allocation reused) and overwritten.
+    ///
+    /// This is the forward product `x · Wᵀ` of every layer (over the
+    /// `[in, out]` layout of the weights) and the backward one `dY · W`.
+    /// Every output element starts at `0.0` and adds its products one by one
+    /// in ascending `k`, skipping the zero entries of `self`.
     ///
     /// # Panics
     ///
     /// Panics if `self.cols() != other.rows()`.
-    pub fn matmul(&self, other: &Matrix) -> Matrix {
-        let mut out = Matrix::default();
-        self.matmul_into(other, &mut out);
-        out
-    }
-
-    /// In-place form of [`matmul`](Self::matmul): `out` is reshaped (its
-    /// allocation reused) and overwritten with `self · other`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self.cols() != other.rows()`.
-    // mm-lint: hot-path — the input-only backward pass must not allocate.
+    // mm-lint: hot-path — every forward and backward pass runs through here.
     pub fn matmul_into(&self, other: &Matrix, out: &mut Matrix) {
         assert_eq!(self.cols, other.rows, "matmul shape mismatch");
         out.reset(self.rows, other.cols);
-        for i in 0..self.rows {
-            for k in 0..self.cols {
-                let a = self.data[i * self.cols + k];
-                if a == 0.0 {
-                    continue;
-                }
-                let orow = &other.data[k * other.cols..(k + 1) * other.cols];
-                let out_row = &mut out.data[i * other.cols..(i + 1) * other.cols];
-                for (o, &b) in out_row.iter_mut().zip(orow) {
-                    *o += a * b;
-                }
-            }
-        }
-    }
-
-    /// `self · otherᵀ`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self.cols() != other.cols()`.
-    pub fn matmul_transpose_b(&self, other: &Matrix) -> Matrix {
-        let mut out = Matrix::default();
-        self.matmul_transpose_b_into(other, &mut out);
-        out
-    }
-
-    /// In-place form of [`matmul_transpose_b`](Self::matmul_transpose_b):
-    /// `out` is reshaped (its allocation reused) and overwritten with
-    /// `self · otherᵀ`.
-    ///
-    /// This is the forward product `x · Wᵀ` of every layer. One output at a
-    /// time it is a single dependent add chain over `k`, bound by the add
-    /// latency; here eight rows of `other` (`DOT_BLOCK`) share one pass over
-    /// `k`, each with its own accumulator, so the chains overlap. Every
-    /// accumulator still starts at `0.0` and sums its products in ascending
-    /// `k` — nothing is reassociated or fused, so each output has the bits
-    /// the one-at-a-time loop gives.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self.cols() != other.cols()`.
-    // mm-lint: hot-path — every forward pass runs through here.
-    pub fn matmul_transpose_b_into(&self, other: &Matrix, out: &mut Matrix) {
-        assert_eq!(self.cols, other.cols, "matmul_transpose_b shape mismatch");
-        let k = self.cols;
-        out.reset(self.rows, other.rows);
-        if k == 0 || other.rows == 0 {
+        if self.cols == 0 || other.cols == 0 {
             return;
         }
         for (arow, out_row) in self
             .data
-            .chunks_exact(k)
-            .zip(out.data.chunks_exact_mut(other.rows))
+            .chunks_exact(self.cols)
+            .zip(out.data.chunks_exact_mut(other.cols))
         {
-            let mut blocks = other.data.chunks_exact(DOT_BLOCK * k);
-            let mut out_blocks = out_row.chunks_exact_mut(DOT_BLOCK);
-            for (block, out_block) in blocks.by_ref().zip(out_blocks.by_ref()) {
-                let brows: [&[f32]; DOT_BLOCK] = std::array::from_fn(|j| &block[j * k..][..k]);
-                let mut acc = [0.0f32; DOT_BLOCK];
-                for (kk, &a) in arow.iter().enumerate() {
-                    for (s, brow) in acc.iter_mut().zip(&brows) {
-                        *s += a * brow[kk];
-                    }
-                }
-                out_block.copy_from_slice(&acc);
-            }
-            // Fewer than DOT_BLOCK rows left: one chain each.
-            for (brow, o) in blocks
-                .remainder()
-                .chunks_exact(k)
-                .zip(out_blocks.into_remainder())
-            {
-                let mut acc = 0.0f32;
-                for (a, b) in arow.iter().zip(brow) {
-                    acc += a * b;
-                }
-                *o = acc;
-            }
+            accumulate(arow.iter(), &other.data, out_row);
         }
     }
 
-    /// `selfᵀ · other`.
+    /// `selfᵀ · other`: `out` is reshaped (its allocation reused) and
+    /// overwritten.
+    ///
+    /// This is the weight gradient `dYᵀ · X`. Every output element starts at
+    /// `0.0` and adds its products one by one in ascending row, skipping the
+    /// zero entries of `self`.
     ///
     /// # Panics
     ///
     /// Panics if `self.rows() != other.rows()`.
-    pub fn transpose_a_matmul(&self, other: &Matrix) -> Matrix {
+    // mm-lint: hot-path — one call per layer per training step.
+    pub fn transpose_a_matmul_into(&self, other: &Matrix, out: &mut Matrix) {
         assert_eq!(self.rows, other.rows, "transpose_a_matmul shape mismatch");
-        let mut out = Matrix::zeros(self.cols, other.cols);
-        for k in 0..self.rows {
-            let arow = self.row(k);
-            let brow = other.row(k);
-            for (i, &a) in arow.iter().enumerate() {
-                if a == 0.0 {
-                    continue;
-                }
-                let out_row = &mut out.data[i * other.cols..(i + 1) * other.cols];
-                for (o, &b) in out_row.iter_mut().zip(brow) {
-                    *o += a * b;
-                }
-            }
+        out.reset(self.cols, other.cols);
+        if self.rows == 0 || other.cols == 0 {
+            return;
         }
-        out
+        for (i, out_row) in out.data.chunks_exact_mut(other.cols).enumerate() {
+            let column = self.data[i..].iter().step_by(self.cols);
+            accumulate(column, &other.data, out_row);
+        }
     }
 
-    /// Transposed copy.
-    pub fn transpose(&self) -> Matrix {
-        let mut out = Matrix::zeros(self.cols, self.rows);
-        for i in 0..self.rows {
-            for j in 0..self.cols {
-                out.data[j * self.rows + i] = self.data[i * self.cols + j];
+    /// Transposed copy into `out`, which is reshaped (its allocation
+    /// reused) and overwritten.
+    // mm-lint: hot-path — one call per layer per weight update.
+    pub fn transpose_into(&self, out: &mut Matrix) {
+        out.reset(self.cols, self.rows);
+        for (i, row) in self.data.chunks_exact(self.cols.max(1)).enumerate() {
+            for (j, &v) in row.iter().enumerate() {
+                out.data[j * self.rows + i] = v;
             }
         }
-        out
     }
 
     /// Element-wise in-place addition.
@@ -295,15 +302,17 @@ impl Matrix {
         }
     }
 
-    /// Sum over rows, yielding a length-`cols` vector.
-    pub fn column_sums(&self) -> Vec<f32> {
-        let mut out = vec![0.0f32; self.cols];
+    /// Sum over rows into `out`, which is overwritten (its allocation
+    /// reused) with the length-`cols` vector.
+    // mm-lint: hot-path — one call per layer per training step.
+    pub fn column_sums_into(&self, out: &mut Vec<f32>) {
+        out.clear();
+        out.resize(self.cols, 0.0);
         for r in 0..self.rows {
             for (o, &v) in out.iter_mut().zip(self.row(r)) {
                 *o += v;
             }
         }
-        out
     }
 
     /// Frobenius norm.
@@ -316,34 +325,63 @@ impl Matrix {
 mod tests {
     use super::*;
 
+    fn matmul(a: &Matrix, b: &Matrix) -> Matrix {
+        // Into a buffer that held another shape.
+        let mut out = Matrix::zeros(5, 3);
+        a.matmul_into(b, &mut out);
+        out
+    }
+
+    fn transpose(a: &Matrix) -> Matrix {
+        let mut out = Matrix::default();
+        a.transpose_into(&mut out);
+        out
+    }
+
     #[test]
     fn matmul_matches_hand_computation() {
         let a = Matrix::from_vec(2, 3, vec![1., 2., 3., 4., 5., 6.]);
         let b = Matrix::from_vec(3, 2, vec![7., 8., 9., 10., 11., 12.]);
-        let c = a.matmul(&b);
+        let c = matmul(&a, &b);
         assert_eq!(c.as_slice(), &[58., 64., 139., 154.]);
     }
 
     #[test]
     fn transposed_products_are_consistent() {
         let a = Matrix::from_vec(2, 3, vec![1., 2., 3., 4., 5., 6.]);
-        let b = Matrix::from_vec(4, 3, vec![1., 0., 1., 2., 1., 0., 0., 3., 1., 1., 1., 1.]);
-        // a · bᵀ == a.matmul(b.transpose())
-        let direct = a.matmul_transpose_b(&b);
-        let via_t = a.matmul(&b.transpose());
-        assert_eq!(direct, via_t);
-
         let c = Matrix::from_vec(2, 4, vec![1., 2., 3., 4., 5., 6., 7., 8.]);
         // aᵀ · c == a.transpose().matmul(c)
-        let direct = a.transpose_a_matmul(&c);
-        let via_t = a.transpose().matmul(&c);
-        assert_eq!(direct, via_t);
+        let mut direct = Matrix::zeros(1, 9);
+        a.transpose_a_matmul_into(&c, &mut direct);
+        assert_eq!(direct, matmul(&transpose(&a), &c));
+        assert_eq!(transpose(&transpose(&a)), a);
+        assert_eq!(transpose(&a).as_slice(), &[1., 4., 2., 5., 3., 6.]);
+    }
+
+    #[test]
+    fn zero_multipliers_are_skipped_not_multiplied() {
+        // `0 · ∞` and `0 · NaN` are dropped, not turned into NaN: skipping a
+        // zero multiplier equals multiplying by it only for finite factors
+        // (what trained weights are). A nonzero multiplier meets them as
+        // IEEE says.
+        let a = Matrix::from_vec(2, 2, vec![0.0, 2.0, -0.0, 0.0]);
+        let b = Matrix::from_vec(2, 2, vec![f32::INFINITY, f32::NAN, 3.0, f32::NEG_INFINITY]);
+        let c = matmul(&a, &b);
+        assert_eq!(c.as_slice()[..2], [6.0, f32::NEG_INFINITY]);
+        // A row of zeros is `+0.0`, whatever it skipped.
+        assert_eq!(c.as_slice()[2].to_bits(), 0.0f32.to_bits());
+        assert_eq!(c.as_slice()[3].to_bits(), 0.0f32.to_bits());
+        let mut t = Matrix::default();
+        transpose(&a).transpose_a_matmul_into(&b, &mut t);
+        assert_eq!(t, c);
     }
 
     #[test]
     fn column_sums_and_norm() {
         let a = Matrix::from_vec(2, 2, vec![3., 4., 1., 2.]);
-        assert_eq!(a.column_sums(), vec![4., 6.]);
+        let mut sums = vec![9.0; 5];
+        a.column_sums_into(&mut sums);
+        assert_eq!(sums, vec![4., 6.]);
         assert!((a.norm() - (9.0f32 + 16.0 + 1.0 + 4.0).sqrt()).abs() < 1e-6);
     }
 
@@ -373,7 +411,7 @@ mod tests {
     fn matmul_rejects_bad_shapes() {
         let a = Matrix::zeros(2, 3);
         let b = Matrix::zeros(2, 3);
-        let _ = a.matmul(&b);
+        let _ = matmul(&a, &b);
     }
 
     #[test]

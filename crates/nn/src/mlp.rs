@@ -19,8 +19,9 @@ pub struct Mlp {
     output_activation: Activation,
 }
 
-/// Per-layer parameter gradients produced by [`Mlp::backward`].
-#[derive(Debug, Clone)]
+/// Per-layer parameter gradients produced by [`Mlp::backward_into`].
+/// Reusable: a trainer that keeps one allocates only on its first step.
+#[derive(Debug, Clone, Default)]
 pub struct MlpGrad {
     /// Gradients for each [`Linear`] layer, in layer order.
     pub layers: Vec<LinearGrad>,
@@ -49,8 +50,8 @@ impl ForwardCache {
     }
 }
 
-/// Reusable buffers of [`Mlp::backward_input`]: the gradient being
-/// propagated and the one the next layer down receives.
+/// Reusable buffers of the backward passes: the gradient being propagated
+/// and the one the next layer down receives.
 #[derive(Debug, Clone, Default)]
 pub struct BackwardScratch {
     grad: Matrix,
@@ -118,7 +119,8 @@ impl Mlp {
         &self.layers
     }
 
-    /// The linear layers (mutable; used by optimizers).
+    /// The linear layers, for the optimizers: a layer's parameters change
+    /// through [`Linear::update`] only.
     pub fn layers_mut(&mut self) -> &mut [Linear] {
         &mut self.layers
     }
@@ -132,22 +134,14 @@ impl Mlp {
         }
     }
 
-    /// Forward pass on a batch, returning outputs and the cache needed for
-    /// backpropagation.
-    pub fn forward_cached(&self, x: &Matrix) -> ForwardCache {
-        let mut cache = ForwardCache::default();
-        self.forward_into(x.rows(), x.as_slice(), &mut cache);
-        cache
-    }
-
-    /// In-place form of [`forward_cached`](Self::forward_cached): run the
-    /// row-major batch `x` of `rows` examples through the network,
-    /// overwriting `cache` (its allocations reused).
+    /// The one forward pass: run the row-major batch `x` of `rows` examples
+    /// through the network, overwriting `cache` (its allocations reused)
+    /// with the output and the activations backpropagation needs.
     ///
     /// # Panics
     ///
     /// Panics if `x.len() != rows * self.input_dim()`.
-    // mm-lint: hot-path — one call per gradient-search step.
+    // mm-lint: hot-path — one call per gradient-search and training step.
     pub fn forward_into(&self, rows: usize, x: &[f32], cache: &mut ForwardCache) {
         let n = self.layers.len();
         cache.inputs.resize_with(n, Matrix::default);
@@ -168,7 +162,9 @@ impl Mlp {
 
     /// Forward pass returning just the outputs.
     pub fn forward(&self, x: &Matrix) -> Matrix {
-        self.forward_cached(x).output
+        let mut cache = ForwardCache::default();
+        self.forward_into(x.rows(), x.as_slice(), &mut cache);
+        cache.output
     }
 
     /// Convenience: forward pass on a single example.
@@ -191,15 +187,18 @@ impl Mlp {
     }
 
     /// The one backward pass: walk the layers last to first, turning
-    /// `grad_output` (dL/d output, row-major `[batch, out]`) into dL/d input,
-    /// which is left in `scratch.grad`. `on_layer` sees each layer's index
-    /// with the gradient at its pre-activation — what the parameter
-    /// gradients are made from.
+    /// `grad_output` (dL/d output, row-major `[batch, out]`) into the
+    /// gradient at each layer's pre-activation — what `on_layer` sees, with
+    /// the layer's index, and what the parameter gradients are made from —
+    /// and, when `to_input`, on into dL/d input, which is left in
+    /// `scratch.grad` (otherwise the first layer's input gradient, which
+    /// training has no use for, is not computed).
     fn backward_with(
         &self,
         cache: &ForwardCache,
         grad_output: &[f32],
         scratch: &mut BackwardScratch,
+        to_input: bool,
         mut on_layer: impl FnMut(usize, &Matrix),
     ) {
         scratch
@@ -209,27 +208,40 @@ impl Mlp {
             self.activation(i)
                 .backward_in_place(&cache.pre_activations[i], &mut scratch.grad);
             on_layer(i, &scratch.grad);
-            layer.backward_input_into(&scratch.grad, &mut scratch.next);
-            std::mem::swap(&mut scratch.grad, &mut scratch.next);
+            if i > 0 || to_input {
+                layer.backward_input_into(&scratch.grad, &mut scratch.next);
+                std::mem::swap(&mut scratch.grad, &mut scratch.next);
+            }
         }
     }
 
-    /// Backpropagate `grad_output` (dL/d output, shape `[batch, out]`)
-    /// through the network, returning parameter gradients and the gradient
-    /// with respect to the **input** batch.
-    pub fn backward(&self, cache: &ForwardCache, grad_output: &Matrix) -> (MlpGrad, Matrix) {
-        let mut scratch = BackwardScratch::default();
-        let mut layers = Vec::with_capacity(self.layers.len());
-        self.backward_with(cache, grad_output.as_slice(), &mut scratch, |i, grad| {
-            layers.push(LinearGrad::from_batch(&cache.inputs[i], grad));
+    /// Backpropagate `grad_output` (dL/d output, row-major `[batch, out]`)
+    /// through the network from the activations `cache` holds, overwriting
+    /// `grads` (its allocations reused) with the parameter gradients.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `grad_output` is not `[batch, out]` for the batch `cache`
+    /// holds.
+    // mm-lint: hot-path — one call per training step.
+    pub fn backward_into(
+        &self,
+        cache: &ForwardCache,
+        grad_output: &[f32],
+        scratch: &mut BackwardScratch,
+        grads: &mut MlpGrad,
+    ) {
+        grads
+            .layers
+            .resize_with(self.layers.len(), LinearGrad::default);
+        self.backward_with(cache, grad_output, scratch, false, |i, grad| {
+            grads.layers[i].fill_from_batch(&cache.inputs[i], grad);
         });
-        layers.reverse();
-        (MlpGrad { layers }, scratch.grad)
     }
 
-    /// Input-only form of [`backward`](Self::backward): the same chain
-    /// without the parameter gradients, into reusable `scratch`. Returns
-    /// dL/d input, shape `[batch, in]`, borrowed from `scratch`.
+    /// Input-only form of [`backward_into`](Self::backward_into): the same
+    /// chain without the parameter gradients, carried on to the input.
+    /// Returns dL/d input, shape `[batch, in]`, borrowed from `scratch`.
     ///
     /// # Panics
     ///
@@ -242,7 +254,7 @@ impl Mlp {
         grad_output: &[f32],
         scratch: &'s mut BackwardScratch,
     ) -> &'s Matrix {
-        self.backward_with(cache, grad_output, scratch, |_, _| {});
+        self.backward_with(cache, grad_output, scratch, true, |_, _| {});
         &scratch.grad
     }
 
@@ -295,10 +307,16 @@ mod tests {
     fn parameter_gradients_match_finite_differences() {
         let net = mlp(2);
         let x = Matrix::from_vec(3, 5, (0..15).map(|i| (i as f32 * 0.13).sin()).collect());
-        let cache = net.forward_cached(&x);
+        let mut cache = ForwardCache::default();
+        net.forward_into(x.rows(), x.as_slice(), &mut cache);
         // Objective: sum of all outputs.
-        let ones = Matrix::from_vec(3, 3, vec![1.0; 9]);
-        let (grads, _) = net.backward(&cache, &ones);
+        let mut grads = MlpGrad::default();
+        net.backward_into(
+            &cache,
+            &[1.0; 9],
+            &mut BackwardScratch::default(),
+            &mut grads,
+        );
 
         let objective = |n: &Mlp| -> f32 { n.forward(&x).as_slice().iter().sum() };
         let base = objective(&net);
@@ -307,8 +325,8 @@ mod tests {
         // Spot-check a few weights in different layers.
         for (li, r, c) in [(0usize, 0usize, 1usize), (1, 3, 2), (2, 2, 5)] {
             let mut p = net.clone();
-            let w = p.layers_mut()[li].weight.get(r, c);
-            p.layers_mut()[li].weight.set(r, c, w + eps);
+            let cols = p.layers()[li].in_features();
+            p.layers_mut()[li].update(|w, _| w[r * cols + c] += eps);
             let fd = (objective(&p) - base) / eps;
             let analytic = grads.layers[li].weight.get(r, c);
             assert!(

@@ -44,8 +44,8 @@ impl Sgd {
                 .iter()
                 .map(|l| {
                     (
-                        Matrix::zeros(l.weight.rows(), l.weight.cols()),
-                        vec![0.0; l.bias.len()],
+                        Matrix::zeros(l.out_features(), l.in_features()),
+                        vec![0.0; l.out_features()],
                     )
                 })
                 .collect();
@@ -62,16 +62,19 @@ impl Optimizer for Sgd {
             .zip(&grads.layers)
             .zip(&mut self.velocity)
         {
-            for (v, g) in vw.as_mut_slice().iter_mut().zip(grad.weight.as_slice()) {
-                *v = self.momentum * *v - self.lr * g;
-            }
-            for (w, v) in layer.weight.as_mut_slice().iter_mut().zip(vw.as_slice()) {
-                *w += v;
-            }
-            for ((v, g), b) in vb.iter_mut().zip(&grad.bias).zip(&mut layer.bias) {
-                *v = self.momentum * *v - self.lr * g;
-                *b += *v;
-            }
+            let (lr, momentum) = (self.lr, self.momentum);
+            layer.update(|weight, bias| {
+                for (v, g) in vw.as_mut_slice().iter_mut().zip(grad.weight.as_slice()) {
+                    *v = momentum * *v - lr * g;
+                }
+                for (w, v) in weight.iter_mut().zip(vw.as_slice()) {
+                    *w += v;
+                }
+                for ((v, g), b) in vb.iter_mut().zip(&grad.bias).zip(bias) {
+                    *v = momentum * *v - lr * g;
+                    *b += *v;
+                }
+            });
         }
     }
 
@@ -118,8 +121,8 @@ impl Adam {
                     .iter()
                     .map(|l| {
                         (
-                            Matrix::zeros(l.weight.rows(), l.weight.cols()),
-                            vec![0.0; l.bias.len()],
+                            Matrix::zeros(l.out_features(), l.in_features()),
+                            vec![0.0; l.out_features()],
                         )
                     })
                     .collect::<Vec<_>>()
@@ -143,33 +146,27 @@ impl Optimizer for Adam {
             .zip(&mut self.m)
             .zip(&mut self.v)
         {
-            for (((w, g), m), v) in layer
-                .weight
-                .as_mut_slice()
-                .iter_mut()
-                .zip(grad.weight.as_slice())
-                .zip(mw.as_mut_slice())
-                .zip(vw.as_mut_slice())
-            {
-                *m = self.beta1 * *m + (1.0 - self.beta1) * g;
-                *v = self.beta2 * *v + (1.0 - self.beta2) * g * g;
+            let (lr, beta1, beta2, eps) = (self.lr, self.beta1, self.beta2, self.eps);
+            let adam = |p: &mut f32, g: f32, m: &mut f32, v: &mut f32| {
+                *m = beta1 * *m + (1.0 - beta1) * g;
+                *v = beta2 * *v + (1.0 - beta2) * g * g;
                 let mhat = *m / b1t;
                 let vhat = *v / b2t;
-                *w -= self.lr * mhat / (vhat.sqrt() + self.eps);
-            }
-            for (((b, g), m), v) in layer
-                .bias
-                .iter_mut()
-                .zip(&grad.bias)
-                .zip(mb.iter_mut())
-                .zip(vb.iter_mut())
-            {
-                *m = self.beta1 * *m + (1.0 - self.beta1) * g;
-                *v = self.beta2 * *v + (1.0 - self.beta2) * g * g;
-                let mhat = *m / b1t;
-                let vhat = *v / b2t;
-                *b -= self.lr * mhat / (vhat.sqrt() + self.eps);
-            }
+                *p -= lr * mhat / (vhat.sqrt() + eps);
+            };
+            layer.update(|weight, bias| {
+                for (((w, g), m), v) in weight
+                    .iter_mut()
+                    .zip(grad.weight.as_slice())
+                    .zip(mw.as_mut_slice())
+                    .zip(vw.as_mut_slice())
+                {
+                    adam(w, *g, m, v);
+                }
+                for (((b, g), m), v) in bias.iter_mut().zip(&grad.bias).zip(mb).zip(vb) {
+                    adam(b, *g, m, v);
+                }
+            });
         }
     }
 
@@ -214,7 +211,7 @@ impl StepLr {
 mod tests {
     use super::*;
     use crate::loss::Loss;
-    use crate::matrix::Matrix;
+    use crate::mlp::{BackwardScratch, ForwardCache};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -226,11 +223,14 @@ mod tests {
         let ys = Matrix::from_vec(8, 1, (0..8).map(|i| 3.0 * i as f32 / 8.0 - 1.0).collect());
         let loss = Loss::Mse;
         let mut last = f32::MAX;
+        let mut cache = ForwardCache::default();
+        let (mut grad_out, mut grads) = (Matrix::default(), MlpGrad::default());
+        let mut scratch = BackwardScratch::default();
         for _ in 0..steps {
-            let cache = model.forward_cached(&xs);
+            model.forward_into(xs.rows(), xs.as_slice(), &mut cache);
             last = loss.value(cache.output(), &ys);
-            let grad_out = loss.gradient(cache.output(), &ys);
-            let (grads, _) = model.backward(&cache, &grad_out);
+            loss.gradient_into(cache.output(), &ys, &mut grad_out);
+            model.backward_into(&cache, grad_out.as_slice(), &mut scratch, &mut grads);
             optimizer.step(&mut model, &grads);
         }
         last

@@ -7,7 +7,8 @@ use serde::{Deserialize, Serialize};
 
 use crate::data::Dataset;
 use crate::loss::Loss;
-use crate::mlp::Mlp;
+use crate::matrix::Matrix;
+use crate::mlp::{BackwardScratch, ForwardCache, Mlp, MlpGrad};
 use crate::optim::{Optimizer, StepLr};
 
 /// Training hyper-parameters.
@@ -74,7 +75,9 @@ impl Trainer {
 
     /// Train `model` on `dataset` (already normalized by the caller if
     /// desired), returning the loss history. The dataset is split into
-    /// train/test portions internally.
+    /// train/test portions internally — by index, the examples stay where
+    /// they are — and every buffer a step needs is allocated once: after the
+    /// first mini-batch, training allocates nothing.
     pub fn fit<R: Rng + ?Sized>(
         &mut self,
         model: &mut Mlp,
@@ -86,41 +89,57 @@ impl Trainer {
         let (train, test) = if dataset.len() >= 4 && self.config.test_fraction > 0.0 {
             dataset.split(self.config.test_fraction, rng)
         } else {
-            (dataset.clone(), dataset.clone())
+            let all: Vec<usize> = (0..dataset.len()).collect();
+            (all.clone(), all)
         };
-        let mut history = TrainHistory::default();
+        let epochs = self.config.epochs;
+        let mut history = TrainHistory {
+            train_loss: Vec::with_capacity(epochs),
+            test_loss: Vec::with_capacity(epochs),
+        };
         let batch = self.config.batch_size.max(1);
 
-        for epoch in 0..self.config.epochs {
+        let (mut test_x, mut test_y) = (Matrix::default(), Matrix::default());
+        dataset.gather_into(&test, &mut test_x, &mut test_y);
+        let (mut x, mut y) = (Matrix::default(), Matrix::default());
+        let mut cache = ForwardCache::default();
+        let mut grad_out = Matrix::default();
+        let mut scratch = BackwardScratch::default();
+        let mut grads = MlpGrad::default();
+        let mut order = Vec::with_capacity(train.len());
+
+        for epoch in 0..epochs {
             if let Some(sched) = self.config.lr_schedule {
                 sched.apply(epoch, optimizer);
             }
-            let mut order: Vec<usize> = (0..train.len()).collect();
+            // Every epoch shuffles the split's own order, not the previous
+            // epoch's permutation.
+            order.clear();
+            order.extend_from_slice(&train);
             order.shuffle(rng);
             let mut epoch_loss = 0.0f64;
             let mut batches = 0usize;
             for chunk in order.chunks(batch) {
-                let (x, y) = train.batch(chunk);
-                let cache = model.forward_cached(&x);
+                dataset.gather_into(chunk, &mut x, &mut y);
+                model.forward_into(x.rows(), x.as_slice(), &mut cache);
                 epoch_loss += loss.value(cache.output(), &y) as f64;
-                let grad_out = loss.gradient(cache.output(), &y);
-                let (grads, _) = model.backward(&cache, &grad_out);
+                loss.gradient_into(cache.output(), &y, &mut grad_out);
+                model.backward_into(&cache, grad_out.as_slice(), &mut scratch, &mut grads);
                 optimizer.step(model, &grads);
                 batches += 1;
             }
             history
                 .train_loss
                 .push((epoch_loss / batches.max(1) as f64) as f32);
-            history.test_loss.push(Self::evaluate(model, &test, loss));
+            model.forward_into(test_x.rows(), test_x.as_slice(), &mut cache);
+            history.test_loss.push(loss.value(cache.output(), &test_y));
         }
         history
     }
 
     /// Mean loss of `model` over a dataset.
     pub fn evaluate(model: &Mlp, dataset: &Dataset, loss: Loss) -> f32 {
-        let (x, y) = dataset.as_matrices();
-        let out = model.forward(&x);
-        loss.value(&out, &y)
+        loss.value(&model.forward(dataset.inputs()), dataset.targets())
     }
 }
 

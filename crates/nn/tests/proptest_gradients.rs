@@ -75,8 +75,8 @@ proptest! {
         let hist = trainer.fit(&mut model, &ds, &mut Sgd::new(lr, 0.9), Loss::default_huber(), &mut rng);
         prop_assert!(hist.final_train_loss().is_finite());
         for layer in model.layers() {
-            prop_assert!(layer.weight.as_slice().iter().all(|v| v.is_finite()));
-            prop_assert!(layer.bias.iter().all(|v| v.is_finite()));
+            prop_assert!(layer.weight().as_slice().iter().all(|v| v.is_finite()));
+            prop_assert!(layer.bias().iter().all(|v| v.is_finite()));
         }
     }
 
@@ -85,7 +85,7 @@ proptest! {
     fn normalizer_roundtrip_property(
         rows in prop::collection::vec(prop::collection::vec(-1e3f32..1e3, 3), 2..40)
     ) {
-        let norm = Normalizer::fit(&rows);
+        let norm = Normalizer::fit(&Matrix::from_rows(&rows));
         for r in &rows {
             let back = norm.inverse(&norm.transform(r));
             for (a, b) in back.iter().zip(r) {
@@ -104,7 +104,8 @@ proptest! {
         for loss in [Loss::Mse, Loss::Mae, Loss::default_huber()] {
             let pm = Matrix::from_vec(1, 4, p.clone());
             let tm = Matrix::from_vec(1, 4, t.clone());
-            let g = loss.gradient(&pm, &tm);
+            let mut g = Matrix::default();
+            loss.gradient_into(&pm, &tm, &mut g);
             let before = loss.value(&pm, &tm);
             let mut stepped = pm.clone();
             for (s, gv) in stepped.as_mut_slice().iter_mut().zip(g.as_slice()) {

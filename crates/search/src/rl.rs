@@ -22,8 +22,9 @@
 //! re-anchors the current episode state on the shared incumbent.
 
 use mm_mapspace::{Encoding, MapSpaceView, Mapping, ProblemSpec};
+use mm_nn::mlp::MlpGrad;
 use mm_nn::optim::{Adam, Optimizer};
-use mm_nn::{Activation, BackwardScratch, Matrix, Mlp};
+use mm_nn::{Activation, BackwardScratch, ForwardCache, Matrix, Mlp};
 use rand::rngs::StdRng;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -176,18 +177,27 @@ fn denormalize(state: &[f32], scales: &[f32]) -> Vec<f32> {
 /// Soft update: `target ← tau · source + (1 − tau) · target`.
 fn soft_update(target: &mut Mlp, source: &Mlp, tau: f32) {
     for (tl, sl) in target.layers_mut().iter_mut().zip(source.layers()) {
-        for (t, s) in tl
-            .weight
-            .as_mut_slice()
-            .iter_mut()
-            .zip(sl.weight.as_slice())
-        {
-            *t = tau * s + (1.0 - tau) * *t;
-        }
-        for (t, s) in tl.bias.iter_mut().zip(&sl.bias) {
-            *t = tau * s + (1.0 - tau) * *t;
-        }
+        tl.update(|weight, bias| {
+            let sources = sl.weight().as_slice().iter().chain(sl.bias());
+            for (t, s) in weight.iter_mut().chain(bias).zip(sources) {
+                *t = tau * s + (1.0 - tau) * *t;
+            }
+        });
     }
+}
+
+/// The matrix whose row `i` is `left(i)` followed by `right(i)`.
+fn concat_rows<'a>(
+    rows: usize,
+    left: impl Fn(usize) -> &'a [f32],
+    right: impl Fn(usize) -> &'a [f32],
+) -> Matrix {
+    let mut data = Vec::new();
+    for i in 0..rows {
+        data.extend_from_slice(left(i));
+        data.extend_from_slice(right(i));
+    }
+    Matrix::from_vec(rows, data.len() / rows.max(1), data)
 }
 
 impl DdpgState {
@@ -206,81 +216,55 @@ impl DdpgState {
             return;
         }
         let dim = self.dim;
-        let batch: Vec<Transition> = (0..cfg.batch_size)
-            .map(|_| self.replay[rng.gen_range(0..self.replay.len())].clone())
+        let batch: Vec<&Transition> = (0..cfg.batch_size)
+            .map(|_| &self.replay[rng.gen_range(0..self.replay.len())])
             .collect();
+        let n = batch.len();
+        let mut cache = ForwardCache::default();
+        let mut scratch = BackwardScratch::default();
+        let mut grads = MlpGrad::default();
 
         // Critic update: y = r + gamma * Q'(s', a'(s')).
-        let next_states = Matrix::from_rows(
-            &batch
-                .iter()
-                .map(|t| t.next_state.clone())
-                .collect::<Vec<_>>(),
-        );
-        let next_actions = self.actor_target.forward(&next_states);
-        let mut next_sa_rows = Vec::with_capacity(batch.len());
-        for (i, t) in batch.iter().enumerate() {
-            let mut row = t.next_state.clone();
-            row.extend_from_slice(next_actions.row(i));
-            next_sa_rows.push(row);
-        }
-        let q_next = self
-            .critic_target
-            .forward(&Matrix::from_rows(&next_sa_rows));
-        let targets: Vec<Vec<f32>> = batch
-            .iter()
-            .enumerate()
-            .map(|(i, t)| vec![t.reward + cfg.gamma * q_next.get(i, 0)])
-            .collect();
-        let sa_rows: Vec<Vec<f32>> = batch
-            .iter()
-            .map(|t| {
-                let mut row = t.state.clone();
-                row.extend_from_slice(&t.action);
-                row
+        let next_states = concat_rows(n, |i| &batch[i].next_state, |_| &[]);
+        self.actor_target
+            .forward_into(n, next_states.as_slice(), &mut cache);
+        let next_sa = concat_rows(n, |i| &batch[i].next_state, |i| cache.output().row(i));
+        let mut target_cache = ForwardCache::default();
+        self.critic_target
+            .forward_into(n, next_sa.as_slice(), &mut target_cache);
+        let q_next = target_cache.output();
+        let sa = concat_rows(n, |i| &batch[i].state, |i| &batch[i].action);
+        self.critic.forward_into(n, sa.as_slice(), &mut cache);
+        // MSE gradient.
+        let loss_grad: Vec<f32> = (batch.iter().zip(cache.output().as_slice()).enumerate())
+            .map(|(i, (t, q))| {
+                let target = t.reward + cfg.gamma * q_next.get(i, 0);
+                2.0 * (q - target) / n as f32
             })
             .collect();
-        let sa = Matrix::from_rows(&sa_rows);
-        let target_m = Matrix::from_rows(&targets);
-        let cache = self.critic.forward_cached(&sa);
-        let loss_grad = {
-            // MSE gradient.
-            let mut g = cache.output().clone();
-            for (gv, tv) in g.as_mut_slice().iter_mut().zip(target_m.as_slice()) {
-                *gv = 2.0 * (*gv - tv) / batch.len() as f32;
-            }
-            g
-        };
-        let (critic_grads, _) = self.critic.backward(&cache, &loss_grad);
-        self.critic_opt.step(&mut self.critic, &critic_grads);
+        self.critic
+            .backward_into(&cache, &loss_grad, &mut scratch, &mut grads);
+        self.critic_opt.step(&mut self.critic, &grads);
 
         // Actor update: ascend ∂Q(s, π(s))/∂θ_π.
-        let states = Matrix::from_rows(&batch.iter().map(|t| t.state.clone()).collect::<Vec<_>>());
-        let actor_cache = self.actor.forward_cached(&states);
-        let proposed = actor_cache.output().clone();
-        let mut sa_pi_rows = Vec::with_capacity(batch.len());
-        for (i, t) in batch.iter().enumerate() {
-            let mut row = t.state.clone();
-            row.extend_from_slice(proposed.row(i));
-            sa_pi_rows.push(row);
-        }
-        let sa_pi = Matrix::from_rows(&sa_pi_rows);
-        let critic_cache = self.critic.forward_cached(&sa_pi);
+        let states = concat_rows(n, |i| &batch[i].state, |_| &[]);
+        let mut actor_cache = ForwardCache::default();
+        self.actor
+            .forward_into(n, states.as_slice(), &mut actor_cache);
+        let sa_pi = concat_rows(n, |i| &batch[i].state, |i| actor_cache.output().row(i));
+        self.critic.forward_into(n, sa_pi.as_slice(), &mut cache);
         // dQ/d[s;a], we want -dQ/da (gradient ascent on Q). Only the input
         // gradient is needed: the critic's parameters are not updated here.
-        let ones = vec![-1.0 / batch.len() as f32; batch.len()];
-        let mut scratch = BackwardScratch::default();
-        let grad_sa = self
-            .critic
-            .backward_input(&critic_cache, &ones, &mut scratch);
-        let mut grad_action = Matrix::zeros(batch.len(), dim);
-        for i in 0..batch.len() {
-            for j in 0..dim {
-                grad_action.set(i, j, grad_sa.get(i, dim + j));
-            }
-        }
-        let (actor_grads, _) = self.actor.backward(&actor_cache, &grad_action);
-        self.actor_opt.step(&mut self.actor, &actor_grads);
+        let ones = vec![-1.0 / n as f32; n];
+        let grad_sa = self.critic.backward_input(&cache, &ones, &mut scratch);
+        let grad_action = concat_rows(n, |i| &grad_sa.row(i)[dim..], |_| &[]);
+        self.actor.backward_into(
+            &actor_cache,
+            grad_action.as_slice(),
+            &mut scratch,
+            &mut grads,
+        );
+        self.actor_opt.step(&mut self.actor, &grads);
 
         // Soft-update the targets.
         soft_update(&mut self.actor_target, &self.actor, cfg.tau);
@@ -477,10 +461,44 @@ mod tests {
         let mut target = b.clone();
         soft_update(&mut target, &a, 1.0);
         // tau = 1 copies the source exactly.
-        assert_eq!(target.layers()[0].weight, a.layers()[0].weight);
+        assert_eq!(target.layers()[0].weight(), a.layers()[0].weight());
         let mut target = b.clone();
         soft_update(&mut target, &a, 0.0);
-        assert_eq!(target.layers()[0].weight, b.layers()[0].weight);
+        assert_eq!(target.layers()[0].weight(), b.layers()[0].weight());
+    }
+
+    #[test]
+    fn soft_update_is_seen_by_the_next_forward() {
+        // The forward pass reads its own layout of the weights; a blend must
+        // reach it. The reference reads the `[out, in]` weights as they are
+        // after the update, one dot product at a time.
+        let mut rng = StdRng::seed_from_u64(1);
+        let source = Mlp::new(&[3, 9, 2], &mut rng);
+        let mut target = Mlp::new(&[3, 9, 2], &mut rng);
+        soft_update(&mut target, &source, 0.25);
+        assert_ne!(target, source);
+
+        let x = [0.5f32, -1.25, 2.0];
+        let mut expected = x.to_vec();
+        for (i, layer) in target.layers().iter().enumerate() {
+            expected = (layer.weight().as_slice().chunks(layer.in_features()))
+                .zip(layer.bias())
+                .map(|(row, b)| {
+                    let dot = row
+                        .iter()
+                        .zip(&expected)
+                        .fold(0.0f32, |acc, (w, v)| acc + v * w);
+                    let pre = dot + b;
+                    // ReLU between the layers, identity after the last.
+                    if i == 0 && pre < 0.0 {
+                        0.0
+                    } else {
+                        pre
+                    }
+                })
+                .collect();
+        }
+        assert_eq!(target.predict(&x), expected);
     }
 
     #[test]

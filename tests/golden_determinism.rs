@@ -156,11 +156,11 @@ fn weight_checksum(surrogate: &Surrogate) -> u64 {
     };
     for layer in surrogate.mlp().layers() {
         layer
-            .weight
+            .weight()
             .as_slice()
             .iter()
             .for_each(|w| word(w.to_bits()));
-        layer.bias.iter().for_each(|b| word(b.to_bits()));
+        layer.bias().iter().for_each(|b| word(b.to_bits()));
     }
     hash
 }

@@ -19,6 +19,9 @@
 //! reused set of buffers (`MapSpace::project`, which returns a fresh
 //! mapping, is not part of the contract).
 //!
+//! And for Phase 1: `Trainer::fit` allocates its buffers during the first
+//! mini-batch and nothing after it, however many batches and epochs follow.
+//!
 //! Allocations are counted per thread: the harness's main thread does its
 //! own bookkeeping (its table of running tests, its channel's waker) after
 //! it has spawned the test's thread, and on a busy two-core box that can
@@ -28,12 +31,13 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use mind_mappings::core::GradientScratch;
-use mind_mappings::nn::ForwardCache;
+use mind_mappings::nn::optim::Sgd;
+use mind_mappings::nn::{Dataset, ForwardCache, Loss, Matrix, Mlp, TrainConfig, Trainer};
 use mind_mappings::prelude::*;
 use mind_mappings::search::ProposalBuf;
 use mind_mappings::workloads::cnn::CnnFamily;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 struct CountingAlloc;
 
@@ -139,6 +143,56 @@ fn steady_state_eval_loop_allocates_nothing() {
 
     surrogate_step_allocates_nothing(&space, &batch, &mut rng);
     proposal_loop_allocates_nothing(&space, &model, &mut scratch, &mut rng);
+}
+
+/// Steady-state training: a `fit` of five epochs allocates exactly as often
+/// as a `fit` of one — the split, the gathered test rows, the history and
+/// the first mini-batch's buffers — so every batch after the first, the
+/// short last batch of an epoch and the per-epoch test pass included,
+/// allocates nothing. The network is the benchmark's `phase1()` surrogate.
+#[test]
+fn training_allocates_nothing_after_the_first_batch() {
+    let mut rng = StdRng::seed_from_u64(22);
+    let widths = [62, 64, 128, 64, 12];
+    // 270 training rows: four batches of 64 and one of 14 per epoch.
+    let rows = 300;
+    let column = |width: usize, rng: &mut StdRng| {
+        let data = (0..rows * width).map(|_| rng.gen_range(-1.0f32..1.0));
+        Matrix::from_vec(rows, width, data.collect())
+    };
+    let dataset = Dataset::from_matrices(column(62, &mut rng), column(12, &mut rng)).unwrap();
+    let model = Mlp::new(&widths, &mut rng);
+
+    let mut allocations_of = |epochs: usize| {
+        let mut model = model.clone();
+        let mut optimizer = Sgd::new(5e-3, 0.9);
+        let mut trainer = Trainer::new(TrainConfig {
+            epochs,
+            batch_size: 64,
+            test_fraction: 0.1,
+            lr_schedule: None,
+        });
+        let before = allocations();
+        let history = trainer.fit(
+            &mut model,
+            &dataset,
+            &mut optimizer,
+            Loss::default_huber(),
+            &mut rng,
+        );
+        let count = allocations() - before;
+        assert_eq!(history.train_loss.len(), epochs);
+        assert!(history.final_test_loss().is_finite());
+        count
+    };
+    let (one_epoch, five_epochs) = (allocations_of(1), allocations_of(5));
+    assert!(one_epoch > 0, "the first batch sizes every buffer");
+    assert_eq!(
+        five_epochs,
+        one_epoch,
+        "20 further training batches allocated {} times",
+        five_epochs.abs_diff(one_epoch)
+    );
 }
 
 /// Proposal generation and the searchers' report path: after warm-up, fresh
