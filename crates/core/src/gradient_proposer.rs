@@ -142,7 +142,7 @@ impl ProposalSearch for GradientProposer {
         _rng: &mut StdRng,
     ) {
         if let Some(trajectory) = self.trajectory.as_mut() {
-            trajectory.move_to(&self.surrogate, &self.problem, mapping.clone());
+            trajectory.move_to(&self.surrogate, &self.problem, mapping);
         }
     }
 }

@@ -14,11 +14,12 @@
 //!
 //! Crucially the loop only ever queries the **surrogate**; the expensive
 //! reference cost model is not needed during the search, which is what gives
-//! Mind Mappings its iso-time advantage (Section 5.4.2). The true cost of the
-//! visited candidates is filled in *after* the timed loop so that the
-//! returned [`SearchTrace`] can be compared against the baselines.
+//! Mind Mappings its iso-time advantage (Section 5.4.2). The true cost of
+//! each visited candidate is scored as it lands, with the trace's clock
+//! stopped, so that the returned [`SearchTrace`] can be compared against the
+//! baselines while its times (and time budgets) count surrogate work only.
 
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use mm_accel::{CostModel, EvalScratch};
 use mm_mapspace::{MapSpace, MapSpaceView, Mapping, ProblemSpec};
@@ -37,26 +38,29 @@ use crate::MindMappingsError;
 /// Beside the point it sits at, a trajectory keeps the activations and the
 /// prediction of the forward pass taken there, so a [`step`](Self::step)
 /// costs one backward pass (from the kept activations) and one forward pass
-/// (at the point it lands on, kept for the next step). All its buffers are
-/// reused: after the first step the network part allocates nothing.
+/// (at the point it lands on, kept for the next step). All its buffers,
+/// mappings included, are reused: after the first steps a step allocates
+/// nothing.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Trajectory {
     /// The knobs of this run.
     pub(crate) config: Phase2Config,
     /// Current (valid, projected) mapping.
     pub(crate) current: Mapping,
-    /// The mapping the last step started from.
+    /// The mapping the last step started from; the next step projects into
+    /// it, and the two trade places.
     previous: Mapping,
     /// Whitened input vector of `current`, the activations of the
     /// surrogate's forward pass there, and its predicted normalized EDP.
     x: Vec<f32>,
     activations: ForwardCache,
     predicted: f64,
-    /// The same for an injection candidate; they trade places with `x` and
-    /// `activations` when the candidate is accepted.
+    /// The same for an injection candidate; they trade places with
+    /// `current`, `x` and `activations` when the candidate is accepted.
+    candidate: Mapping,
     candidate_x: Vec<f32>,
     candidate_activations: ForwardCache,
-    /// The un-whitened mapping values handed to `project`.
+    /// The un-whitened mapping values handed to `project_into`.
     raw_mapping: Vec<f32>,
     gradient: GradientScratch,
     temperature: f64,
@@ -74,16 +78,22 @@ impl Trajectory {
     ) -> Self {
         let mut trajectory = Trajectory {
             config,
+            current: start,
             temperature: config.initial_temperature,
             ..Trajectory::default()
         };
-        trajectory.move_to(surrogate, problem, start);
+        trajectory.land(surrogate, problem);
         trajectory
     }
 
-    /// Jump to `mapping`: encode it and take the forward pass there.
-    pub(crate) fn move_to(&mut self, surrogate: &Surrogate, problem: &ProblemSpec, to: Mapping) {
-        self.current = to;
+    /// Jump to `to`: copy it in, encode it and take the forward pass there.
+    pub(crate) fn move_to(&mut self, surrogate: &Surrogate, problem: &ProblemSpec, to: &Mapping) {
+        self.current.clone_from(to);
+        self.land(surrogate, problem);
+    }
+
+    /// Encode `current` and take the forward pass there.
+    fn land(&mut self, surrogate: &Surrogate, problem: &ProblemSpec) {
         surrogate.encode_normalized_into(problem, &self.current, &mut self.x);
         self.predicted = surrogate.predict_normalized_edp_into(&self.x, &mut self.activations);
     }
@@ -95,11 +105,11 @@ impl Trajectory {
     /// mapping changed. `landed` sees every point the trajectory lands on
     /// (the projected one, then an accepted candidate) with its prediction.
     ///
-    /// The RNG is drawn from only when `project` fails (fallback mapping),
+    /// The RNG is drawn from only when projection fails (fallback mapping),
     /// for an injection candidate, and for the acceptance draw of a
     /// candidate that predicts worse — in that order.
-    // mm-lint: hot-path — the network part must not allocate (`project` and
-    // `random_mapping` return fresh mappings).
+    // mm-lint: hot-path — projection and injections write into kept
+    // mappings; the whole step must not allocate.
     pub(crate) fn step(
         &mut self,
         surrogate: &Surrogate,
@@ -129,17 +139,18 @@ impl Trajectory {
 
         // Project back onto the map space and take the forward pass there.
         surrogate.decode_normalized_into(&self.x, &mut self.raw_mapping);
+        let landing = &mut self.previous;
+        if space.project_into(&self.raw_mapping, landing).is_err() {
+            space.random_mapping_into(landing, rng);
+        }
         std::mem::swap(&mut self.current, &mut self.previous);
-        let projected = space
-            .project(&self.raw_mapping)
-            .unwrap_or_else(|_| space.random_mapping(rng));
-        self.move_to(surrogate, problem, projected);
+        self.land(surrogate, problem);
         landed(&self.current, self.predicted);
 
         // Periodic random injection with annealed acceptance (Appendix A).
         if cfg.injection_interval > 0 && self.iteration.is_multiple_of(cfg.injection_interval) {
-            let candidate = space.random_mapping(rng);
-            surrogate.encode_normalized_into(problem, &candidate, &mut self.candidate_x);
+            space.random_mapping_into(&mut self.candidate, rng);
+            surrogate.encode_normalized_into(problem, &self.candidate, &mut self.candidate_x);
             let candidate_pred = surrogate
                 .predict_normalized_edp_into(&self.candidate_x, &mut self.candidate_activations);
             let accept = candidate_pred <= self.predicted || {
@@ -147,7 +158,7 @@ impl Trajectory {
                 rng.gen_range(0.0..1.0) < (-delta / self.temperature.max(1e-12)).exp()
             };
             if accept {
-                self.current = candidate;
+                std::mem::swap(&mut self.current, &mut self.candidate);
                 std::mem::swap(&mut self.x, &mut self.candidate_x);
                 std::mem::swap(&mut self.activations, &mut self.candidate_activations);
                 self.predicted = candidate_pred;
@@ -162,17 +173,6 @@ impl Trajectory {
         }
         self.current != self.previous
     }
-}
-
-/// One iteration of the Phase-2 loop, recorded for post-hoc evaluation.
-#[derive(Debug, Clone)]
-struct IterationRecord {
-    /// The candidate mapping the search sits at after this iteration.
-    /// `None` means "unchanged from the previous iteration" (e.g. the
-    /// gradient step rounded back to the same point).
-    candidate: Option<Mapping>,
-    /// Wall-clock seconds elapsed since the search started.
-    elapsed_s: f64,
 }
 
 /// The Phase-2 gradient searcher, bound to a surrogate and a target problem.
@@ -213,83 +213,71 @@ impl<'a> GradientSearch<'a> {
 
     /// Run the search for at most `budget` surrogate iterations (and/or
     /// wall-clock time), returning the per-iteration trace. Trace costs are
-    /// true EDPs (joule-seconds) obtained from `evaluator` **after** the
-    /// timed loop — the reference cost model never influences the search
-    /// itself, matching the paper's evaluation methodology where the visited
-    /// mappings are scored offline for plotting (Section 5.2).
+    /// true EDPs (joule-seconds) from `evaluator`, scored as each mapping is
+    /// reached with the trace's clock stopped: the reference cost model
+    /// never influences the search itself and its time is not counted,
+    /// matching the paper's evaluation methodology where the visited
+    /// mappings are scored offline for plotting (Section 5.2). The trace
+    /// starts at the first step that moves.
     pub fn run(&self, budget: Budget, evaluator: &CostModel, rng: &mut StdRng) -> SearchTrace {
-        let (records, _) = self.run_surrogate_only(budget, rng);
-        self.fill_trace(records, evaluator)
-    }
-
-    /// Run the timed surrogate-only loop. Returns the iteration records and
-    /// the best mapping by surrogate prediction.
-    fn run_surrogate_only(
-        &self,
-        budget: Budget,
-        rng: &mut StdRng,
-    ) -> (Vec<IterationRecord>, Option<Mapping>) {
-        let start = Instant::now();
-        let mut records: Vec<IterationRecord> = Vec::new();
-        let first = self.space.random_mapping(rng);
-        let mut trajectory = Trajectory::new(self.surrogate, &self.problem, first, self.config);
-
-        // The best-so-far candidate by surrogate prediction (the mapping the
-        // deployment-mode API returns).
-        let mut best_pred = f64::INFINITY;
-        let mut best_mapping: Option<Mapping> = None;
-        let mut track_best = |mapping: &Mapping, predicted: f64| {
-            if predicted < best_pred {
-                best_pred = predicted;
-                best_mapping = Some(mapping.clone());
-            }
-        };
-
-        while !budget.exhausted(trajectory.iteration, start.elapsed()) {
-            let moved = trajectory.step(
-                self.surrogate,
-                &self.problem,
-                &self.space,
-                rng,
-                &mut track_best,
-            );
-            records.push(IterationRecord {
-                candidate: moved.then(|| trajectory.current.clone()),
-                elapsed_s: start.elapsed().as_secs_f64(),
-            });
-        }
-        (records, best_mapping)
-    }
-
-    /// Convert iteration records into a [`SearchTrace`] by evaluating the
-    /// true cost of every mapping the search visited (this is the offline
-    /// scoring step used to produce Figures 5/6; it does not influence the
-    /// search).
-    fn fill_trace(&self, records: Vec<IterationRecord>, evaluator: &CostModel) -> SearchTrace {
         let mut trace = SearchTrace::new("MM");
         let mut scratch = EvalScratch::new();
-        let mut last: Option<(f64, Mapping)> = None;
-        for rec in records {
-            if let Some(mapping) = rec.candidate {
-                let cost = evaluator.evaluate_into(&mut scratch, &mapping).edp;
-                last = Some((cost, mapping));
-            }
-            if let Some((cost, mapping)) = &last {
-                trace.record(
-                    *cost,
-                    mapping,
-                    std::time::Duration::from_secs_f64(rec.elapsed_s),
-                );
-            }
-        }
+        // The true cost of the mapping the search sits at, once it moved.
+        let mut cost = None;
+        self.walk(
+            budget,
+            rng,
+            |_, _| {},
+            |moved, current, clock| {
+                if moved {
+                    cost = Some(evaluator.evaluate_into(&mut scratch, current).edp);
+                }
+                if let Some(cost) = cost {
+                    trace.record(cost, current, clock);
+                }
+            },
+        );
         trace
     }
 
-    /// Surrogate-only search returning just the best mapping found (no true
-    /// cost evaluation at all); this is the deployment-mode entry point used
-    /// by the `MindMappings` API.
+    /// Walk one trajectory from a random start until `budget` is spent on
+    /// a clock that runs during steps only. `landed` is handed to every
+    /// [`Trajectory::step`]; `after` sees, once a step is done, whether it
+    /// moved, the mapping it sits at and the clock.
+    fn walk(
+        &self,
+        budget: Budget,
+        rng: &mut StdRng,
+        mut landed: impl FnMut(&Mapping, f64),
+        mut after: impl FnMut(bool, &Mapping, Duration),
+    ) {
+        let lap = Instant::now();
+        let first = self.space.random_mapping(rng);
+        let mut trajectory = Trajectory::new(self.surrogate, &self.problem, first, self.config);
+        let mut clock = lap.elapsed();
+        while !budget.exhausted(trajectory.iteration, clock) {
+            let lap = Instant::now();
+            let moved =
+                trajectory.step(self.surrogate, &self.problem, &self.space, rng, &mut landed);
+            clock += lap.elapsed();
+            after(moved, &trajectory.current, clock);
+        }
+    }
+
+    /// Surrogate-only search returning just the best mapping found by
+    /// prediction (no true cost evaluation at all); this is the
+    /// deployment-mode entry point used by the `MindMappings` API.
     pub fn best_mapping(&self, budget: Budget, rng: &mut StdRng) -> Mapping {
-        let (_, best) = self.run_surrogate_only(budget, rng);
+        let mut best_pred = f64::INFINITY;
+        let mut best: Option<Mapping> = None;
+        let track_best = |mapping: &Mapping, predicted: f64| {
+            if predicted < best_pred {
+                best_pred = predicted;
+                best.get_or_insert_with(Mapping::default)
+                    .clone_from(mapping);
+            }
+        };
+        self.walk(budget, rng, track_best, |_, _, _| {});
         best.unwrap_or_else(|| Mapping::minimal(&self.problem))
     }
 }
@@ -315,6 +303,215 @@ mod tests {
             ..Phase1Config::quick()
         };
         Surrogate::train(arch, &ds, &cfg, &mut rng).unwrap().0
+    }
+
+    /// The search as it ran before it scored in place: the trajectory that
+    /// allocated a projected mapping, a candidate and a record per step,
+    /// then the two-pass loop that scored the records after the timed one.
+    /// Kept as the oracle of [`GradientSearch::run`].
+    mod replaced {
+        use super::*;
+        use std::time::Duration;
+
+        struct Trajectory {
+            config: Phase2Config,
+            current: Mapping,
+            previous: Mapping,
+            x: Vec<f32>,
+            activations: ForwardCache,
+            predicted: f64,
+            candidate_x: Vec<f32>,
+            candidate_activations: ForwardCache,
+            raw_mapping: Vec<f32>,
+            gradient: GradientScratch,
+            temperature: f64,
+            injections: u64,
+            iteration: u64,
+        }
+
+        impl Trajectory {
+            fn move_to(&mut self, surrogate: &Surrogate, problem: &ProblemSpec, to: Mapping) {
+                self.current = to;
+                surrogate.encode_normalized_into(problem, &self.current, &mut self.x);
+                self.predicted =
+                    surrogate.predict_normalized_edp_into(&self.x, &mut self.activations);
+            }
+
+            fn step(
+                &mut self,
+                surrogate: &Surrogate,
+                problem: &ProblemSpec,
+                space: &MapSpace,
+                rng: &mut StdRng,
+            ) -> bool {
+                let cfg = self.config;
+                self.iteration += 1;
+                let offset = surrogate.encoding().mapping_offset();
+                let grad =
+                    surrogate.normalized_edp_gradient_into(&self.activations, &mut self.gradient);
+                let grad = &grad[offset..];
+                let mut divisor = 1.0f32;
+                if cfg.normalize_gradient {
+                    let norm = grad.iter().map(|g| g * g).sum::<f32>().sqrt();
+                    if norm > 1e-12 {
+                        divisor = norm;
+                    }
+                }
+                for (xi, g) in self.x[offset..].iter_mut().zip(grad) {
+                    *xi -= cfg.learning_rate * (g / divisor);
+                }
+                surrogate.decode_normalized_into(&self.x, &mut self.raw_mapping);
+                std::mem::swap(&mut self.current, &mut self.previous);
+                let projected = space
+                    .project(&self.raw_mapping)
+                    .unwrap_or_else(|_| space.random_mapping(rng));
+                self.move_to(surrogate, problem, projected);
+                if cfg.injection_interval > 0
+                    && self.iteration.is_multiple_of(cfg.injection_interval)
+                {
+                    let candidate = space.random_mapping(rng);
+                    surrogate.encode_normalized_into(problem, &candidate, &mut self.candidate_x);
+                    let candidate_pred = surrogate.predict_normalized_edp_into(
+                        &self.candidate_x,
+                        &mut self.candidate_activations,
+                    );
+                    let accept = candidate_pred <= self.predicted || {
+                        let delta = candidate_pred - self.predicted;
+                        rng.gen_range(0.0..1.0) < (-delta / self.temperature.max(1e-12)).exp()
+                    };
+                    if accept {
+                        self.current = candidate;
+                        std::mem::swap(&mut self.x, &mut self.candidate_x);
+                        std::mem::swap(&mut self.activations, &mut self.candidate_activations);
+                        self.predicted = candidate_pred;
+                    }
+                    self.injections += 1;
+                    if cfg.decay_every_injections > 0
+                        && self.injections.is_multiple_of(cfg.decay_every_injections)
+                    {
+                        self.temperature *= cfg.temperature_decay;
+                    }
+                }
+                self.current != self.previous
+            }
+        }
+
+        pub fn run(
+            gs: &GradientSearch,
+            budget: Budget,
+            evaluator: &CostModel,
+            rng: &mut StdRng,
+        ) -> SearchTrace {
+            let first = gs.space.random_mapping(rng);
+            let mut trajectory = Trajectory {
+                config: gs.config,
+                current: Mapping::default(),
+                previous: Mapping::default(),
+                x: Vec::new(),
+                activations: ForwardCache::default(),
+                predicted: 0.0,
+                candidate_x: Vec::new(),
+                candidate_activations: ForwardCache::default(),
+                raw_mapping: Vec::new(),
+                gradient: GradientScratch::default(),
+                temperature: gs.config.initial_temperature,
+                injections: 0,
+                iteration: 0,
+            };
+            trajectory.move_to(gs.surrogate, &gs.problem, first);
+            let mut records = Vec::new();
+            while !budget.exhausted(trajectory.iteration, Duration::ZERO) {
+                let moved = trajectory.step(gs.surrogate, &gs.problem, &gs.space, rng);
+                records.push(moved.then(|| trajectory.current.clone()));
+            }
+            let mut trace = SearchTrace::new("MM");
+            let mut scratch = EvalScratch::new();
+            let mut last: Option<(f64, Mapping)> = None;
+            for candidate in records {
+                if let Some(mapping) = candidate {
+                    let cost = evaluator.evaluate_into(&mut scratch, &mapping).edp;
+                    last = Some((cost, mapping));
+                }
+                if let Some((cost, mapping)) = &last {
+                    trace.record(*cost, mapping, Duration::ZERO);
+                }
+            }
+            trace
+        }
+    }
+
+    #[test]
+    fn run_matches_the_replaced_two_pass_loop() {
+        let s = surrogate(1);
+        let steeper = Phase2Config {
+            learning_rate: 3.0,
+            injection_interval: 4,
+            ..Phase2Config::default()
+        };
+        let mut compared = 0;
+        for (problem, config) in [
+            (ProblemSpec::conv1d(900, 7), Phase2Config::default()),
+            (ProblemSpec::conv1d(1200, 5), steeper),
+            (ProblemSpec::conv1d(600, 9), Phase2Config::default()),
+        ] {
+            let gs = GradientSearch::new(&s, problem.clone(), config).unwrap();
+            let model = CostModel::new(s.arch().clone(), problem);
+            for seed in [2, 9, 40] {
+                let budget = Budget::iterations(250);
+                let got = gs.run(budget, &model, &mut StdRng::seed_from_u64(seed));
+                let want = replaced::run(&gs, budget, &model, &mut StdRng::seed_from_u64(seed));
+                assert_eq!(got.len(), want.len(), "seed {seed}");
+                for (g, w) in got.points.iter().zip(&want.points) {
+                    assert_eq!(g.queries, w.queries);
+                    assert_eq!(g.cost.to_bits(), w.cost.to_bits(), "seed {seed}");
+                    assert_eq!(g.best_cost.to_bits(), w.best_cost.to_bits(), "seed {seed}");
+                }
+                assert_eq!(got.best_cost.to_bits(), want.best_cost.to_bits());
+                assert_eq!(got.best_mapping, want.best_mapping);
+                compared += got.len();
+            }
+        }
+        assert!(
+            compared > 1000,
+            "the traces are long enough to say something"
+        );
+    }
+
+    /// The clock `walk` hands to `after` — and so `run`'s trace times and
+    /// time budgets — counts the steps, what `landed` does inside them
+    /// included, and not what `after` does between them, where `run` scores.
+    #[test]
+    fn the_clock_stops_between_steps() {
+        let s = surrogate(7);
+        let problem = ProblemSpec::conv1d(800, 5);
+        let gs = GradientSearch::new(&s, problem, Phase2Config::default()).unwrap();
+        let pause = Duration::from_millis(1);
+        let (mut landings, mut afters, mut last_clock) = (0u32, 0u32, Duration::ZERO);
+        let start = Instant::now();
+        gs.walk(
+            Budget::time(Duration::from_millis(40)),
+            &mut StdRng::seed_from_u64(8),
+            |_, _| {
+                landings += 1;
+                std::thread::sleep(pause);
+            },
+            |_, _, clock| {
+                afters += 1;
+                last_clock = clock;
+                std::thread::sleep(pause);
+            },
+        );
+        let outside = start.elapsed();
+        assert!(afters > 0);
+        assert!(
+            last_clock >= pause * landings,
+            "the clock {last_clock:?} misses the {landings} pauses inside the steps"
+        );
+        assert!(
+            outside >= last_clock + pause * afters,
+            "the clock {last_clock:?} counts the {afters} pauses between steps \
+             ({outside:?} outside)"
+        );
     }
 
     #[test]

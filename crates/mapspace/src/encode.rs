@@ -123,22 +123,26 @@ impl Encoding {
         }
     }
 
-    /// Decode the mapping portion of a flat vector back into a (possibly
-    /// invalid) [`Mapping`]. Values are rounded/clamped to their attribute
-    /// domains but capacity constraints are **not** enforced; follow with
-    /// [`MapSpace::repair`](crate::space::MapSpace::repair) or
-    /// [`MapSpace::project`](crate::space::MapSpace::project) for a valid
-    /// mapping.
+    /// Decode the mapping portion of a flat vector into `m` (reusing its
+    /// allocations; every entry is overwritten), giving a possibly invalid
+    /// mapping. Values are rounded/clamped to their attribute domains but
+    /// capacity constraints are **not** enforced; follow with
+    /// [`MapSpace::repair`](crate::space::MapSpace::repair), or call
+    /// [`MapSpace::project_into`](crate::space::MapSpace::project_into), for
+    /// a valid mapping.
     ///
     /// # Errors
     ///
-    /// Returns [`MapSpaceError::BadVectorLength`] if `mapping_values` does not
-    /// have exactly [`mapping_len`](Self::mapping_len) entries.
-    pub fn decode_mapping(
+    /// Returns [`MapSpaceError::BadVectorLength`], leaving `m` untouched, if
+    /// `mapping_values` does not have exactly
+    /// [`mapping_len`](Self::mapping_len) entries.
+    // mm-lint: hot-path — one call per gradient-search step.
+    pub fn decode_mapping_into(
         &self,
         problem: &ProblemSpec,
         mapping_values: &[f32],
-    ) -> Result<Mapping, MapSpaceError> {
+        m: &mut Mapping,
+    ) -> Result<(), MapSpaceError> {
         if mapping_values.len() != self.mapping_len() {
             return Err(MapSpaceError::BadVectorLength {
                 expected: self.mapping_len(),
@@ -146,64 +150,49 @@ impl Encoding {
             });
         }
         let d = self.num_dims;
-        let t = self.num_tensors;
-        let mut m = Mapping::minimal(problem);
-        let mut idx = 0;
+        m.reshape(d, self.num_tensors);
+        // Segments: L1, L2 and DRAM tile factors (the last is implied by the
+        // L2 tile), parallelism, loop-order keys, buffer fractions.
+        let (factors, rest) = mapping_values.split_at(ORDER_LEVELS * d);
+        let (par, rest) = rest.split_at(d);
+        let (keys, fractions) = rest.split_at(ORDER_LEVELS * d);
 
-        // Tile factors.
-        let mut factors = vec![vec![1u64; d]; ORDER_LEVELS];
-        for lvl in factors.iter_mut() {
-            for item in lvl.iter_mut() {
-                let f = mapping_values[idx];
-                idx += 1;
-                *item = round_positive(f);
-            }
-        }
-        // Parallelism.
-        let mut par = vec![1u64; d];
-        for item in par.iter_mut() {
-            *item = round_positive(mapping_values[idx]);
-            idx += 1;
-        }
-        // Reconstruct absolute tiles: t1 = f1, spatial = t1*par,
-        // t2 = spatial * f2 (clamped later by repair).
+        // Absolute tiles: t1 = f1, spatial = t1*par, t2 = spatial * f2
+        // (clamped later by repair).
+        let (l1, l2) = m.tiles.split_at_mut(1);
         for dim in 0..d {
             let size = problem.dim_sizes[dim];
-            let t1 = factors[0][dim].clamp(1, size);
-            let p = par[dim].clamp(1, size);
-            let t2 = (t1 * p).saturating_mul(factors[1][dim]).clamp(t1, size);
-            m.tiles[0][dim] = t1;
-            m.tiles[1][dim] = t2;
+            let t1 = round_positive(factors[dim]).clamp(1, size);
+            let p = round_positive(par[dim]).clamp(1, size);
+            let f2 = round_positive(factors[d + dim]);
+            l1[0][dim] = t1;
+            l2[0][dim] = (t1 * p).saturating_mul(f2).clamp(t1, size);
             m.parallel[dim] = p;
         }
 
-        // Loop orders: argsort of the position values.
-        for lv in 0..ORDER_LEVELS {
-            let keys: Vec<f32> = (0..d).map(|i| mapping_values[idx + i]).collect();
-            idx += d;
-            let mut dims: Vec<usize> = (0..d).collect();
-            dims.sort_by(|&a, &b| {
+        // Loop orders: stable argsort of the position values.
+        for (lv, order) in m.loop_orders.iter_mut().enumerate() {
+            let keys = &keys[lv * d..(lv + 1) * d];
+            order.clear();
+            order.extend(0..d);
+            order.sort_by(|&a, &b| {
                 keys[a]
                     .partial_cmp(&keys[b])
                     .unwrap_or(std::cmp::Ordering::Equal)
             });
-            m.loop_orders[lv] = dims;
         }
 
         // Buffer allocation fractions.
-        for lv in 0..ONCHIP_LEVELS {
-            for ti in 0..t {
-                let f = mapping_values[idx] as f64;
-                idx += 1;
-                m.buffer_alloc[lv][ti] = if f.is_finite() {
-                    f.clamp(1e-3, 1.0)
-                } else {
-                    1e-3
-                };
-            }
+        let rows = m.buffer_alloc.iter_mut().flat_map(|row| row.iter_mut());
+        for (slot, &f) in rows.zip(fractions) {
+            let f = f as f64;
+            *slot = if f.is_finite() {
+                f.clamp(1e-3, 1.0)
+            } else {
+                1e-3
+            };
         }
-        debug_assert_eq!(idx, self.mapping_len());
-        Ok(m)
+        Ok(())
     }
 }
 
@@ -263,7 +252,8 @@ mod tests {
         for _ in 0..50 {
             let m = s.random_mapping(&mut rng);
             let v = enc.encode_mapping(s.problem(), &m);
-            let m2 = enc.decode_mapping(s.problem(), &v).unwrap();
+            let mut m2 = Mapping::default();
+            enc.decode_mapping_into(s.problem(), &v, &mut m2).unwrap();
             // Loop orders and parallelism round-trip exactly.
             assert_eq!(m.loop_orders, m2.loop_orders);
             assert_eq!(m.parallel, m2.parallel);
@@ -281,7 +271,10 @@ mod tests {
     fn decode_rejects_wrong_length() {
         let s = space();
         let enc = Encoding::for_problem(s.problem());
-        let err = enc.decode_mapping(s.problem(), &[0.0; 3]).unwrap_err();
+        let mut m = Mapping::minimal(s.problem());
+        let err = enc
+            .decode_mapping_into(s.problem(), &[0.0; 3], &mut m)
+            .unwrap_err();
         assert_eq!(
             err,
             MapSpaceError::BadVectorLength {
@@ -289,6 +282,7 @@ mod tests {
                 actual: 3
             }
         );
+        assert_eq!(m, Mapping::minimal(s.problem()), "left untouched");
     }
 
     #[test]
@@ -296,7 +290,8 @@ mod tests {
         let s = space();
         let enc = Encoding::for_problem(s.problem());
         let v = vec![f32::NAN; enc.mapping_len()];
-        let m = enc.decode_mapping(s.problem(), &v).unwrap();
+        let mut m = Mapping::default();
+        enc.decode_mapping_into(s.problem(), &v, &mut m).unwrap();
         // Everything collapses to the minimal valid-ish structure.
         assert!(m.tiles[0].iter().all(|&t| t >= 1));
         assert!(m.buffer_alloc[0].iter().all(|&f| f > 0.0));

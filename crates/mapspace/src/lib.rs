@@ -14,9 +14,9 @@
 //!
 //! * `random_mapping` (`getMapping`) — a uniformly sampled *valid* mapping,
 //! * `is_member` (`isMember`) — validity check,
-//! * [`project`](MapSpace::project) (`getProjection`) — nearest-valid
-//!   projection of an arbitrary real vector, used by projected gradient
-//!   descent.
+//! * [`project_into`](MapSpace::project_into) (`getProjection`) —
+//!   nearest-valid projection of an arbitrary real vector, used by projected
+//!   gradient descent.
 //!
 //! Mappings can be flattened to a fixed-length `f32` vector via [`Encoding`],
 //! matching the input representation of Section 5.5 (62 values for CNN-Layer,

@@ -5,7 +5,7 @@
 //! mapping vector along the surrogate's gradient; after each step the vector
 //! generally no longer corresponds to a valid mapping (tile sizes are
 //! fractional, the parallelism product exceeds the PE count, tensor tiles no
-//! longer fit in their buffer allocation, …). [`MapSpace::project`] rounds
+//! longer fit in their buffer allocation, …). [`MapSpace::project_into`] rounds
 //! every value to its attribute domain and then applies the deterministic
 //! capacity repair, yielding the nearest valid mapping in the same sense used
 //! by the reference implementation.
@@ -17,8 +17,8 @@ use crate::MapSpaceError;
 
 impl MapSpace {
     /// Project the *mapping portion* of a flat vector (see
-    /// [`Encoding::mapping_len`]) onto the valid map space, returning a valid
-    /// [`Mapping`].
+    /// [`Encoding::mapping_len`]) onto the valid map space, writing the valid
+    /// mapping into `out` (reusing its allocations).
     ///
     /// This is `getProjection` from the Mind Mappings API: decode with
     /// rounding/clamping, then repair tile ordering, the PE budget, and buffer
@@ -26,21 +26,27 @@ impl MapSpace {
     ///
     /// # Errors
     ///
-    /// Returns [`MapSpaceError::BadVectorLength`] if the vector length does
-    /// not match the encoding for this problem.
-    pub fn project(&self, mapping_values: &[f32]) -> Result<Mapping, MapSpaceError> {
-        let enc = Encoding::for_problem(self.problem());
-        let mut m = enc.decode_mapping(self.problem(), mapping_values)?;
-        self.repair(&mut m);
-        debug_assert!(self.is_member(&m), "{:?}", self.validate(&m));
-        Ok(m)
+    /// Returns [`MapSpaceError::BadVectorLength`], leaving `out` untouched,
+    /// if the vector length does not match the encoding for this problem.
+    // mm-lint: hot-path — one call per gradient-search step.
+    pub fn project_into(&self, values: &[f32], out: &mut Mapping) -> Result<(), MapSpaceError> {
+        let problem = self.problem();
+        Encoding::for_problem(problem).decode_mapping_into(problem, values, out)?;
+        self.repair(out);
+        debug_assert!(self.is_member(out), "{:?}", self.validate(out));
+        Ok(())
     }
 
-    /// Project an existing (possibly invalid) mapping onto the valid space.
-    pub fn project_mapping(&self, m: &Mapping) -> Mapping {
-        let mut out = m.clone();
-        self.repair(&mut out);
-        out
+    /// Allocating form of [`project_into`](Self::project_into), behind
+    /// `MindMappings::get_projection`.
+    ///
+    /// # Errors
+    ///
+    /// As [`project_into`](Self::project_into).
+    pub fn project(&self, values: &[f32]) -> Result<Mapping, MapSpaceError> {
+        let mut m = Mapping::default();
+        self.project_into(values, &mut m)?;
+        Ok(m)
     }
 }
 
@@ -92,15 +98,5 @@ mod tests {
     fn projection_rejects_wrong_length() {
         let s = space();
         assert!(s.project(&[1.0, 2.0]).is_err());
-    }
-
-    #[test]
-    fn project_mapping_repairs_invalid_input() {
-        let s = space();
-        let mut m = Mapping::minimal(s.problem());
-        m.tiles[0][0] = 10_000;
-        m.parallel[0] = 10_000;
-        let fixed = s.project_mapping(&m);
-        assert!(s.is_member(&fixed), "{:?}", s.validate(&fixed));
     }
 }

@@ -141,13 +141,14 @@ pub trait MapSpaceView: Send + Sync {
     /// Order-of-magnitude estimate of `log10 |view|`.
     fn log10_size_estimate(&self) -> f64;
 
-    /// Project the mapping portion of a flat encoded vector onto this view.
+    /// Project the mapping portion of a flat encoded vector onto this view,
+    /// writing the result into `out` (reusing its allocations).
     ///
     /// # Errors
     ///
-    /// Returns [`MapSpaceError::BadVectorLength`] if the vector length does
-    /// not match the encoding for this problem.
-    fn project(&self, mapping_values: &[f32]) -> Result<Mapping, MapSpaceError>;
+    /// Returns [`MapSpaceError::BadVectorLength`], leaving `out` untouched,
+    /// if the vector length does not match the encoding for this problem.
+    fn project_into(&self, values: &[f32], out: &mut Mapping) -> Result<(), MapSpaceError>;
 
     /// `(index, count)` when this view is one shard of a partition; `None`
     /// for the full space.
@@ -200,8 +201,8 @@ impl MapSpaceView for MapSpace {
         MapSpace::log10_size_estimate(self)
     }
 
-    fn project(&self, mapping_values: &[f32]) -> Result<Mapping, MapSpaceError> {
-        MapSpace::project(self, mapping_values)
+    fn project_into(&self, values: &[f32], out: &mut Mapping) -> Result<(), MapSpaceError> {
+        MapSpace::project_into(self, values, out)
     }
 
     fn clone_view(&self) -> Box<dyn MapSpaceView> {
@@ -980,10 +981,10 @@ impl MapSpaceView for ShardedMapSpace {
         MapSpace::log10_size_estimate(&self.base) - (self.count.max(1) as f64).log10()
     }
 
-    fn project(&self, mapping_values: &[f32]) -> Result<Mapping, MapSpaceError> {
-        let mut m = MapSpace::project(&self.base, mapping_values)?;
-        self.pin_and_fix(&mut m);
-        Ok(m)
+    fn project_into(&self, values: &[f32], out: &mut Mapping) -> Result<(), MapSpaceError> {
+        MapSpace::project_into(&self.base, values, out)?;
+        self.pin_and_fix(out);
+        Ok(())
     }
 
     fn shard_info(&self) -> Option<(usize, usize)> {
@@ -1155,7 +1156,8 @@ mod tests {
                 let v: Vec<f32> = (0..enc.mapping_len())
                     .map(|_| rng.gen_range(-20.0..200.0))
                     .collect();
-                let m = MapSpaceView::project(&sh, &v).unwrap();
+                let mut m = Mapping::default();
+                sh.project_into(&v, &mut m).unwrap();
                 assert!(sh.is_member(&m), "{:?}", sh.validate(&m));
             }
         }

@@ -243,7 +243,8 @@ proptest! {
         use rand::Rng;
         let enc = Encoding::for_problem(&problem);
         let noise: Vec<f32> = (0..enc.mapping_len()).map(|_| rng.gen_range(-40.0..400.0)).collect();
-        let projected = MapSpaceView::project(&shard, &noise).unwrap();
+        let mut projected = Mapping::default();
+        shard.project_into(&noise, &mut projected).unwrap();
         prop_assert!(shard.is_member(&projected), "{:?}", shard.validate(&projected));
     }
 }

@@ -9,7 +9,7 @@ use serde::{Deserialize, Serialize};
 
 /// Nonzero multipliers [`accumulate`] compacts before it sweeps the columns.
 const K_CHUNK: usize = 256;
-/// Columns [`accumulate`] holds in registers per sweep of the compacted
+/// Columns the portable body holds in registers per sweep of the compacted
 /// list: eight 4-lane vectors, enough independent add chains to cover the
 /// add latency.
 const WIDE: usize = 32;
@@ -20,20 +20,63 @@ const NARROW: usize = 8;
 /// multipliers `a` (the `k`-th item of `multipliers`, pairing with row `k`
 /// of the row-major `b`, `out.len()` columns wide), `k` ascending.
 ///
+/// One body, [`accumulate_body`], compiled once for the build's baseline
+/// target and, on x86-64, once more inside an AVX-512F `#[target_feature]`
+/// wrapper, picked here at run time when the running CPU supports it. Both
+/// paths perform the same `f32` multiplies and adds in the same order —
+/// nothing is fused into an FMA or reassociated, Rust never contracts float
+/// expressions — so the vector width changes how many columns move per
+/// instruction, never a bit of the result.
+// mm-lint: hot-path — all three products of every pass run through here.
+fn accumulate<'a>(multipliers: impl Iterator<Item = &'a f32>, b: &[f32], out: &mut [f32]) {
+    #[cfg(target_arch = "x86_64")]
+    {
+        if std::arch::is_x86_feature_detected!("avx512f") {
+            // SAFETY: the running CPU supports AVX-512F.
+            return unsafe { x86::accumulate_avx512(multipliers, b, out) };
+        }
+    }
+    accumulate_body::<WIDE, NARROW>(multipliers, b, out);
+}
+
+/// The vector-width wrapper of [`accumulate_body`]: the same body, the
+/// blocks widened to the register file.
+#[cfg(target_arch = "x86_64")]
+mod x86 {
+    use super::accumulate_body;
+
+    /// Four 16-lane vectors per wide block.
+    #[target_feature(enable = "avx512f")]
+    pub(super) fn accumulate_avx512<'a>(
+        multipliers: impl Iterator<Item = &'a f32>,
+        b: &[f32],
+        out: &mut [f32],
+    ) {
+        accumulate_body::<64, 16>(multipliers, b, out);
+    }
+}
+
+/// [`accumulate`]'s body, `W` columns per wide block and `N` per narrow one.
+///
 /// The nonzero multipliers are compacted branch-free into a stack list
 /// (ReLU's zeros would otherwise be an unpredictable branch per `k`); then,
 /// per block of columns, the accumulators are loaded once, take every listed
 /// product in turn, and are stored once — so the loads of `b` are contiguous
 /// and the loop vectorises across columns. Each output element still adds
 /// its products one by one in ascending `k`, nothing is reassociated or
-/// fused: it has the bits the scalar `out[j] += a * b[k][j]` loop gives.
+/// fused: it has the bits the scalar `out[j] += a * b[k][j]` loop gives,
+/// whatever `W` and `N` are.
 ///
 /// Skipping a zero multiplier is bit-neutral while `b` is finite: an
 /// accumulator that starts at `+0.0` never holds `-0.0`, so adding `±0.0`
 /// leaves it as it is. A `0 · ±∞` or `0 · NaN` product is dropped, not
 /// turned into NaN.
-// mm-lint: hot-path — all three products of every pass run through here.
-fn accumulate<'a>(multipliers: impl Iterator<Item = &'a f32>, b: &[f32], out: &mut [f32]) {
+#[inline(always)]
+fn accumulate_body<'a, const W: usize, const N: usize>(
+    multipliers: impl Iterator<Item = &'a f32>,
+    b: &[f32],
+    out: &mut [f32],
+) {
     let n = out.len();
     let mut values = [0.0f32; K_CHUNK];
     let mut offsets = [0usize; K_CHUNK];
@@ -52,19 +95,38 @@ fn accumulate<'a>(multipliers: impl Iterator<Item = &'a f32>, b: &[f32], out: &m
             return;
         }
         let (values, offsets) = (&values[..len], &offsets[..len]);
+        // Columns past the last whole block are swept as the last `N`
+        // columns of the row, from the values they hold now, before the
+        // blocks they overlap have written theirs: an overlapped column
+        // comes out of both sweeps with the same bits, and the stores
+        // agree.
+        let rest = n % W % N;
+        let mut last = [0.0f32; N];
+        let overlap = rest != 0 && n >= N;
+        if overlap {
+            accumulate_block::<N>(values, offsets, &b[n - N..], &mut last, &out[n - N..]);
+        }
         let mut c = 0;
-        while c + WIDE <= n {
-            accumulate_block::<WIDE>(values, offsets, &b[c..], &mut out[c..c + WIDE]);
-            c += WIDE;
+        while c + W <= n {
+            let block = &mut out[c..c + W];
+            let mut acc = [0.0f32; W];
+            accumulate_block::<W>(values, offsets, &b[c..], &mut acc, block);
+            block.copy_from_slice(&acc);
+            c += W;
         }
-        while c + NARROW <= n {
-            accumulate_block::<NARROW>(values, offsets, &b[c..], &mut out[c..c + NARROW]);
-            c += NARROW;
+        while c + N <= n {
+            let block = &mut out[c..c + N];
+            let mut acc = [0.0f32; N];
+            accumulate_block::<N>(values, offsets, &b[c..], &mut acc, block);
+            block.copy_from_slice(&acc);
+            c += N;
         }
-        // Fewer than NARROW columns left: one sweep, a chain each.
-        let tail = &mut out[c..];
-        if !tail.is_empty() {
-            let mut acc = [0.0f32; NARROW];
+        if overlap {
+            out[n - N..].copy_from_slice(&last);
+        } else if rest != 0 {
+            // A row narrower than one block: one sweep, a chain each.
+            let tail = &mut out[c..];
+            let mut acc = [0.0f32; N];
             acc[..tail.len()].copy_from_slice(tail);
             for (&a, &offset) in values.iter().zip(offsets) {
                 let brow = &b[offset + c..offset + c + tail.len()];
@@ -80,17 +142,22 @@ fn accumulate<'a>(multipliers: impl Iterator<Item = &'a f32>, b: &[f32], out: &m
     }
 }
 
-/// `W` columns of [`accumulate`]: `b` starts at the block's first column.
+/// `W` columns of [`accumulate_body`] into `acc`, starting from `start`:
+/// `b` starts at the block's first column.
 #[inline(always)]
-fn accumulate_block<const W: usize>(values: &[f32], offsets: &[usize], b: &[f32], out: &mut [f32]) {
-    let mut acc = [0.0f32; W];
-    acc.copy_from_slice(out);
+fn accumulate_block<const W: usize>(
+    values: &[f32],
+    offsets: &[usize],
+    b: &[f32],
+    acc: &mut [f32; W],
+    start: &[f32],
+) {
+    acc.copy_from_slice(start);
     for (&a, &offset) in values.iter().zip(offsets) {
         for (s, &w) in acc.iter_mut().zip(&b[offset..offset + W]) {
             *s += a * w;
         }
     }
-    out.copy_from_slice(&acc);
 }
 
 /// Dense row-major matrix of `f32`.
@@ -324,6 +391,97 @@ impl Matrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// One way of running [`accumulate`]: `(multipliers, b, out)`.
+    type Path = fn(&[f32], &[f32], &mut [f32]);
+
+    /// The portable body and the vector-width wrapper, if this CPU can run it.
+    fn paths() -> Vec<(&'static str, Path)> {
+        let mut paths: Vec<(&'static str, Path)> = vec![("generic", |a, b, out| {
+            accumulate_body::<WIDE, NARROW>(a.iter(), b, out)
+        })];
+        #[cfg(target_arch = "x86_64")]
+        {
+            if std::arch::is_x86_feature_detected!("avx512f") {
+                // SAFETY: only listed when the running CPU supports AVX-512F.
+                paths.push(("avx512f", |a, b, out| unsafe {
+                    x86::accumulate_avx512(a.iter(), b, out)
+                }));
+            }
+        }
+        paths
+    }
+
+    /// Bit pattern with every NaN folded to one: which NaN an operation
+    /// returns is not specified by the language, that it returns one is.
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter()
+            .map(|&x| if x.is_nan() { f32::NAN } else { x }.to_bits())
+            .collect()
+    }
+
+    /// A value as the kernel may meet it: zeros of both signs, ordinary
+    /// magnitudes and, when `non_finite`, ±∞ and NaN.
+    fn awkward(rng: &mut StdRng, non_finite: bool) -> f32 {
+        match rng.gen_range(0..if non_finite { 12 } else { 9 }) {
+            0 | 1 => 0.0,
+            2 => -0.0,
+            3 => rng.gen_range(-1e-30f32..1e-30),
+            4 => rng.gen_range(-1e30f32..1e30),
+            9 => f32::INFINITY,
+            10 => f32::NEG_INFINITY,
+            11 => f32::NAN,
+            _ => rng.gen_range(-2.0f32..2.0),
+        }
+    }
+
+    /// Runs every path on one `k × n` problem, `out` starting from values of
+    /// its own, and requires the generic path's bits of each.
+    fn check_paths(rng: &mut StdRng, k: usize, n: usize) -> Result<(), TestCaseError> {
+        let a: Vec<f32> = (0..k).map(|_| awkward(rng, true)).collect();
+        let b: Vec<f32> = (0..k * n).map(|_| awkward(rng, true)).collect();
+        let start: Vec<f32> = (0..n).map(|_| awkward(rng, false)).collect();
+        let mut expected = None;
+        for (name, path) in paths() {
+            let mut out = start.clone();
+            path(&a, &b, &mut out);
+            let got = bits(&out);
+            match &expected {
+                None => expected = Some(got),
+                Some(want) => prop_assert_eq!(&got, want, "{} at k = {}, n = {}", name, k, n),
+            }
+        }
+        Ok(())
+    }
+
+    /// Every width up to past two wide AVX-512 blocks (so every remainder of
+    /// 8, 16, 32 and 64), on each side of the `K_CHUNK` edge.
+    #[test]
+    fn every_path_has_the_generic_bits_at_every_width() {
+        let mut rng = StdRng::seed_from_u64(31);
+        for n in 1..=136 {
+            for k in [1, K_CHUNK, K_CHUNK + 1, 2 * K_CHUNK + 7] {
+                check_paths(&mut rng, k, n).unwrap();
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases_env(32))]
+
+        /// The same at sampled shapes.
+        #[test]
+        fn every_path_has_the_generic_bits(
+            seed in 0u64..u64::MAX,
+            k in 1usize..700,
+            n in 1usize..300,
+        ) {
+            check_paths(&mut StdRng::seed_from_u64(seed), k, n)?;
+        }
+    }
 
     fn matmul(a: &Matrix, b: &Matrix) -> Matrix {
         // Into a buffer that held another shape.

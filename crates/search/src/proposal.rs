@@ -82,17 +82,6 @@ impl ProposalBuf {
         self.len += 1;
         slot
     }
-
-    /// Append an owned mapping, overwriting a spare slot when available
-    /// (its allocations are replaced, not reused).
-    pub fn push(&mut self, mapping: Mapping) {
-        if self.len == self.slots.len() {
-            self.slots.push(mapping);
-        } else {
-            self.slots[self.len] = mapping;
-        }
-        self.len += 1;
-    }
 }
 
 impl Deref for ProposalBuf {

@@ -352,12 +352,11 @@ impl ProposalSearch for DdpgAgent {
             .map(|(&s, &a)| s + a * cfg.action_scale)
             .collect();
         next_raw = denormalize(&next_raw, &state.scales);
-        let next_mapping = match space.project(&next_raw) {
-            Ok(m) => m,
-            Err(_) => space.random_mapping(rng),
-        };
+        let slot = out.next_slot();
+        if space.project_into(&next_raw, slot).is_err() {
+            space.random_mapping_into(slot, rng);
+        }
         state.pending = Some((state.state_vec.clone(), action));
-        out.push(next_mapping);
         static PROPOSED: std::sync::OnceLock<std::sync::Arc<mm_telemetry::Counter>> =
             std::sync::OnceLock::new();
         crate::tele_counter(&PROPOSED, "search.ddpg.proposed").bump(1);

@@ -14,10 +14,11 @@
 //! whole GA generations (an accepted SA move and a retired GA generation
 //! hand their storage on instead of freeing it).
 //!
-//! The same holds for the network part of a gradient-search step: encode,
-//! backward from the kept activations, decode, forward — through one
-//! reused set of buffers (`MapSpace::project`, which returns a fresh
-//! mapping, is not part of the contract).
+//! The same holds for a whole gradient-search step: encode, backward from
+//! the kept activations, decode, forward — through one reused set of
+//! buffers — and, driven as `GradientProposer::propose` over one
+//! [`ProposalBuf`], the projection into a kept mapping and the periodic
+//! random injections too.
 //!
 //! And for Phase 1: `Trainer::fit` allocates its buffers during the first
 //! mini-batch and nothing after it, however many batches and epochs follow.
@@ -313,4 +314,30 @@ fn surrogate_step_allocates_nothing(space: &MapSpace, mappings: &[Mapping], rng:
         "surrogate step allocated {step_allocs} times over 256 rounds after warmup"
     );
     assert!(checksum.is_finite() && raw.len() == x.len() - problem.num_dims());
+
+    // The whole step as the `Mapper` drives it: gradient, projection,
+    // forward, and an injection every tenth step (its acceptance swaps
+    // mappings and buffers, so both sides must have been warmed).
+    let mut proposer =
+        GradientProposer::new(surrogate, problem.clone(), Phase2Config::default()).expect("family");
+    proposer.begin(space, None, rng);
+    let mut buf = ProposalBuf::new();
+    let mut propose = |rng: &mut StdRng| {
+        buf.clear();
+        proposer.propose(space, rng, 32, &mut buf);
+        assert!(!buf.is_empty());
+    };
+    for _ in 0..8 {
+        propose(rng);
+    }
+    let before = allocations();
+    for _ in 0..32 {
+        propose(rng);
+    }
+    let propose_allocs = allocations() - before;
+    assert_eq!(
+        propose_allocs, 0,
+        "GradientProposer::propose allocated {propose_allocs} times over 32 batches after warmup"
+    );
+    assert!(buf.iter().all(|m| space.is_member(m)));
 }
