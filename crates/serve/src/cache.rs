@@ -29,23 +29,34 @@ use mm_mapspace::Mapping;
 use mm_search::ConvergenceTrace;
 use serde::{Deserialize, Serialize};
 
-/// FNV-1a 64-bit over the given parts (with a separator byte between parts,
-/// so `["ab", "c"]` and `["a", "bc"]` differ). Stable across processes —
-/// unlike `DefaultHasher` — which keeps fingerprints usable as on-disk or
-/// cross-run cache keys later.
+/// FNV-1a 64-bit over the given parts, each part's bytes followed by one
+/// `0xFF` byte (a byte no UTF-8 string contains, so `["ab", "c"]` and
+/// `["a", "bc"]` differ). Stable across processes — unlike `DefaultHasher`
+/// — which keeps fingerprints usable as on-disk or cross-run cache keys
+/// later.
+///
+/// A service fingerprint is this hash of two parts: the problem's `{:?}`
+/// rendering, then the service identity and the request's search tag
+/// concatenated — so the bytes are rendering, `0xFF`, identity, tag,
+/// `0xFF`. The hash is a left-to-right fold over bytes: the service keeps
+/// the state after the identity once per problem and continues it with
+/// the tag, to the same `u64`.
 pub fn fingerprint_parts(parts: &[&str]) -> u64 {
     const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+    parts.iter().fold(OFFSET, |h, part| hash_part(h, part))
+}
+
+/// FNV-1a state `h` advanced over `bytes`.
+pub(crate) fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
     const PRIME: u64 = 0x0000_0100_0000_01B3;
-    let mut h = OFFSET;
-    for part in parts {
-        for b in part.as_bytes() {
-            h ^= u64::from(*b);
-            h = h.wrapping_mul(PRIME);
-        }
-        h ^= 0xFF;
-        h = h.wrapping_mul(PRIME);
-    }
-    h
+    bytes
+        .iter()
+        .fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(PRIME))
+}
+
+/// FNV-1a state `h` advanced over `part` and the closing `0xFF` byte.
+pub(crate) fn hash_part(h: u64, part: &str) -> u64 {
+    fnv1a(fnv1a(h, part.as_bytes()), &[0xFF])
 }
 
 /// The reusable outcome of one layer search.

@@ -49,7 +49,7 @@ use mm_search::{ProposalSearch, RandomSearch};
 use mm_workloads::Network;
 use serde::{Deserialize, Serialize};
 
-use crate::cache::{fingerprint_parts, CachedLayer, ResultCache};
+use crate::cache::{fingerprint_parts, fnv1a, hash_part, CachedLayer, ResultCache};
 use crate::config::{RequestConfig, ServiceConfig, ServiceProfile};
 use crate::report::{LayerReport, NetworkAggregate, NetworkReport};
 use crate::request::{AdmissionError, RequestError, RequestHandle};
@@ -151,6 +151,55 @@ struct RequestState {
     run_span: Option<mm_telemetry::SpanGuard>,
 }
 
+/// Distinct problems [`PrefixMemo`] holds before it is cleared. A cleared
+/// memo costs one rendering per problem, as every layer cost without it.
+const PREFIX_MEMO_CAPACITY: usize = 1_024;
+
+/// Per distinct problem, the FNV-1a state of its fingerprint after the
+/// problem's `{:?}` rendering, the part separator and the service identity
+/// — every byte ahead of the request's search tag. One entry per problem,
+/// whatever the seeds and tags it is requested under.
+///
+/// Buckets are keyed by name but matched on the whole spec: two problems
+/// with one name and different sizes or tensors have different states.
+/// The states hash one identity tag, so the memo is cleared whenever the
+/// identity changes.
+#[derive(Default)]
+struct PrefixMemo {
+    by_name: HashMap<String, Vec<(ProblemSpec, u64)>>,
+    len: usize,
+}
+
+impl PrefixMemo {
+    /// The state for `problem` under `identity_tag`, rendered and kept on
+    /// the first request for it.
+    fn get(&mut self, problem: &ProblemSpec, identity_tag: &str) -> u64 {
+        let known = self
+            .by_name
+            .get(&problem.name)
+            .and_then(|bucket| bucket.iter().find(|(spec, _)| spec == problem));
+        if let Some(&(_, state)) = known {
+            return state;
+        }
+        if self.len >= PREFIX_MEMO_CAPACITY {
+            self.clear();
+        }
+        let rendered = fingerprint_parts(&[&format!("{problem:?}")]);
+        let state = fnv1a(rendered, identity_tag.as_bytes());
+        self.by_name
+            .entry(problem.name.clone())
+            .or_default()
+            .push((problem.clone(), state));
+        self.len += 1;
+        state
+    }
+
+    fn clear(&mut self) {
+        self.by_name.clear();
+        self.len = 0;
+    }
+}
+
 /// A long-lived, multi-tenant mapping service over one shared eval pool.
 pub struct MappingService {
     arch: Architecture,
@@ -162,10 +211,13 @@ pub struct MappingService {
     evaluator_tag: String,
     search_factory: SearchFactory,
     searcher_name: String,
-    /// Pre-rendered constant fingerprint prefix (`{arch:?}|{searcher}|
-    /// {evaluator}|`) — the request tag appends to it, reproducing the
-    /// legacy `config_tag` byte format exactly.
+    /// `{arch:?}|{searcher}|{evaluator}|`: the bytes of a fingerprint's
+    /// second part ahead of the request's search tag (see
+    /// [`fingerprint`](MappingService::fingerprint)).
     identity_tag: String,
+    /// Per distinct problem, the fingerprint state up to and including
+    /// `identity_tag`.
+    prefixes: PrefixMemo,
     scheduler: Scheduler,
     stats: ServeStats,
     next_request_id: u64,
@@ -239,6 +291,7 @@ impl MappingService {
             search_factory,
             searcher_name,
             identity_tag,
+            prefixes: PrefixMemo::default(),
             stats: ServeStats::default(),
             next_request_id: 0,
             next_unit_id: 0,
@@ -266,15 +319,17 @@ impl MappingService {
         self.search_factory = search_factory;
         self.identity_tag =
             Self::identity_tag(&self.arch, &self.searcher_name, &self.evaluator_tag);
+        // The memoised prefixes hash the identity tag just replaced.
+        self.prefixes.clear();
         self.cache = ResultCache::with_capacity(self.service.cache_capacity);
         self
     }
 
-    /// Render the request-independent fingerprint prefix. A request's
-    /// [`search_tag`](RequestConfig) appends directly (no separator), so
-    /// the concatenation reproduces the legacy `config_tag` bytes exactly
-    /// — fingerprints, derived seeds, golden fixtures, and bench quality
-    /// baselines are unchanged by the multi-tenant split.
+    /// Render the service identity: the bytes of a fingerprint's second
+    /// part ahead of the request's [`search_tag`](RequestConfig), which
+    /// follows with no separator, so identity and tag together are the
+    /// legacy `config_tag` bytes. Rendered once per searcher; the service
+    /// hashes it once per distinct problem.
     fn identity_tag(arch: &Architecture, searcher_name: &str, evaluator_tag: &str) -> String {
         format!("{arch:?}|{searcher_name}|{evaluator_tag}|")
     }
@@ -320,11 +375,20 @@ impl MappingService {
 
     /// Deterministic cache/replay key for a problem under this service's
     /// architecture, searcher, evaluator, and the request's search tag.
-    fn fingerprint(&self, problem: &ProblemSpec, search_tag: &str) -> u64 {
-        fingerprint_parts(&[
-            &format!("{problem:?}"),
-            &format!("{}{}", self.identity_tag, search_tag),
-        ])
+    ///
+    /// The key is FNV-1a over these bytes, in this order: the problem's
+    /// `{:?}` rendering, `0xFF`, `identity_tag`, `search_tag`, `0xFF` —
+    /// that is, [`fingerprint_parts`](crate::fingerprint_parts) of the
+    /// rendering and of identity and tag concatenated. The state after
+    /// `identity_tag` depends on the problem and the service alone and
+    /// comes from [`PrefixMemo`], so a request hashes only its tag and the
+    /// closing byte per layer.
+    ///
+    /// **Byte-stable:** the key seeds every layer job's RNG stream, so any
+    /// change to these bytes moves every serve result, golden fixture and
+    /// bench quality baseline.
+    fn fingerprint(&mut self, problem: &ProblemSpec, search_tag: &str) -> u64 {
+        hash_part(self.prefixes.get(problem, &self.identity_tag), search_tag)
     }
 
     /// Admit `network` for mapping under `config`, returning a handle to
@@ -448,6 +512,28 @@ impl MappingService {
             }
         }
 
+        // A fully cached request needs no scheduling: its layer reports are
+        // built now, straight from the plan.
+        let replayed: Option<Vec<LayerReport>> = if new_units.is_empty() {
+            network
+                .layers
+                .iter()
+                .zip(&steps)
+                .map(|(layer, (_, step))| match step {
+                    PlanStep::Hit(cached) => Some(LayerReport::from_cached(
+                        &layer.name,
+                        &layer.problem.name,
+                        layer.repeat,
+                        true,
+                        cached,
+                    )),
+                    PlanStep::Attach(_) | PlanStep::Fresh(_) => None,
+                })
+                .collect()
+        } else {
+            None
+        };
+
         let weight = u64::from(config.priority.max(1));
         let mut fresh_unit_ids: Vec<u64> = Vec::with_capacity(new_units.len());
         for (fp, problem) in &new_units {
@@ -513,20 +599,26 @@ impl MappingService {
         if shared_units > 0 {
             tele_shared_units().bump(shared_units);
         }
-        *self
-            .tenant_outstanding
-            .entry(config.tenant.clone())
-            .or_insert(0) += planned_evals;
+        if planned_evals > 0 {
+            *self
+                .tenant_outstanding
+                .entry(config.tenant.clone())
+                .or_insert(0) += planned_evals;
+        }
 
         drop(admit_span);
         let queue_span = track.as_ref().and_then(|t| t.span("request.queue"));
         let state = RequestState {
             network_name: network.name.clone(),
-            layers: network
-                .layers
-                .iter()
-                .map(|l| (l.name.clone(), l.problem.name.clone(), l.repeat))
-                .collect(),
+            // Only a request that waits for units needs its layer names later.
+            layers: match replayed {
+                Some(_) => Vec::new(),
+                None => network
+                    .layers
+                    .iter()
+                    .map(|l| (l.name.clone(), l.problem.name.clone(), l.repeat))
+                    .collect(),
+            },
             plans,
             units: unit_order,
             resolved: HashMap::new(),
@@ -538,11 +630,11 @@ impl MappingService {
             queue_span,
             run_span: None,
         };
-        self.requests.insert(id, state);
-
-        // A fully-cached request needs no scheduling: complete it now.
-        if self.requests.get(&id).is_some_and(|r| r.units.is_empty()) {
-            self.finalize_request(id);
+        match replayed {
+            Some(layers) => self.finish_request(id, state, layers),
+            None => {
+                self.requests.insert(id, state);
+            }
         }
         Ok(RequestHandle { id })
     }
@@ -772,7 +864,7 @@ impl MappingService {
 
     /// Assemble the report of a request whose units are all resolved.
     fn finalize_request(&mut self, request: u64) {
-        let Some(mut state) = self.requests.remove(&request) else {
+        let Some(state) = self.requests.remove(&request) else {
             return;
         };
         // Per-layer reports in network order. A layer is a cache hit unless
@@ -781,7 +873,6 @@ impl MappingService {
         // requests (shared units report as fresh searches; their outcome is
         // byte-identical to an unshared run).
         let mut seen_units: Vec<u64> = Vec::new();
-        let mut cache_hits = 0usize;
         let layers: Vec<LayerReport> = state
             .layers
             .iter()
@@ -804,12 +895,17 @@ impl MappingService {
                         (Arc::clone(resolved), !first)
                     }
                 };
-                if hit {
-                    cache_hits += 1;
-                }
                 LayerReport::from_cached(layer, problem, *repeat, hit, &cached)
             })
             .collect();
+        self.finish_request(request, state, layers);
+    }
+
+    /// Complete an admitted request — already out of `requests`, or never
+    /// in it — with its layer reports: statistics, budget release, spans,
+    /// and the report parked for `wait`.
+    fn finish_request(&mut self, request: u64, mut state: RequestState, layers: Vec<LayerReport>) {
+        let cache_hits = layers.iter().filter(|l| l.cache_hit).count();
         let unique_searches = state.units.len();
         let total_evaluations: u64 = state
             .units
@@ -944,5 +1040,235 @@ impl MappingService {
                 sync: config.sync,
             })
             .collect()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    //! `fingerprint` against the body it had before [`PrefixMemo`], kept
+    //! here verbatim as the oracle: the same `u64` for every problem, tag
+    //! and service identity, including same-name problems, a swapped
+    //! searcher and a memo cleared at its cap. Tier-1 runs the property at
+    //! 32 cases, CI at 256 (`PROPTEST_CASES`).
+
+    use super::*;
+    use mm_mapspace::problem::{DimId, TensorDim, TensorKind, TensorSpec};
+    use mm_search::{SimulatedAnnealing, SyncPolicy};
+    use mm_workloads::table1;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, RngCore, SeedableRng};
+
+    /// The replaced `fingerprint` body, verbatim.
+    fn oracle(identity: &str, problem: &ProblemSpec, tag: &str) -> u64 {
+        fingerprint_parts(&[&format!("{problem:?}"), &format!("{identity}{tag}")])
+    }
+
+    fn service() -> MappingService {
+        MappingService::new(
+            Architecture::example(),
+            ServiceConfig::default().with_workers(1),
+        )
+    }
+
+    fn annealing() -> SearchFactory {
+        Box::new(|| Box::new(SimulatedAnnealing::default()))
+    }
+
+    /// Every problem under every tag, memoised path against the oracle.
+    fn check(service: &mut MappingService, problems: &[ProblemSpec], tags: &[String]) -> Vec<u64> {
+        let mut fingerprints = Vec::new();
+        for problem in problems {
+            for tag in tags {
+                let expected = oracle(&service.identity_tag, problem, tag);
+                let got = service.fingerprint(problem, tag);
+                assert_eq!(got, expected, "{problem:?} under {tag}");
+                fingerprints.push(got);
+            }
+        }
+        fingerprints
+    }
+
+    /// Tags over several seeds, budgets, shard counts (0 renders as 1) and
+    /// all three sync-policy renderings.
+    fn tags() -> Vec<String> {
+        let syncs = [
+            SyncPolicy::Off,
+            SyncPolicy::Anchor,
+            SyncPolicy::Annealed {
+                start: 0.9,
+                end: 0.1,
+            },
+        ];
+        let mut tags = Vec::new();
+        for seed in [0, 1, 7, u64::MAX] {
+            for search_size in [1, 500, 2_000] {
+                for shards in [0, 1, 4] {
+                    for sync in syncs {
+                        let config = RequestConfig::default()
+                            .with_seed(seed)
+                            .with_search_size(search_size)
+                            .with_shards(shards)
+                            .with_sync(sync);
+                        tags.push(config.search_tag());
+                    }
+                }
+            }
+        }
+        tags
+    }
+
+    /// `problem` with dimension `dim` halved, under the same name.
+    fn halved(problem: &ProblemSpec, dim: usize) -> ProblemSpec {
+        let mut half = problem.clone();
+        half.dim_sizes[dim] = (half.dim_sizes[dim] / 2).max(1);
+        half
+    }
+
+    fn distinct(problems: &[ProblemSpec]) -> usize {
+        let mut seen: Vec<&ProblemSpec> = Vec::new();
+        for p in problems {
+            if !seen.contains(&p) {
+                seen.push(p);
+            }
+        }
+        seen.len()
+    }
+
+    #[test]
+    fn table1_problems_and_their_halves_match_the_oracle() {
+        let problems: Vec<ProblemSpec> = table1::all_problems()
+            .into_iter()
+            .flat_map(|t| [halved(&t.problem, 0), halved(&t.problem, 1), t.problem])
+            .collect();
+        let tags = tags();
+        let mut service = service();
+        let first = check(&mut service, &problems, &tags);
+        // The second pass is answered from the memo alone.
+        assert_eq!(check(&mut service, &problems, &tags), first);
+        assert_eq!(
+            service.prefixes.len,
+            distinct(&problems),
+            "one entry per distinct problem, whatever the tags"
+        );
+    }
+
+    #[test]
+    fn problems_sharing_a_name_never_share_a_prefix() {
+        let base = ProblemSpec::conv1d(400, 5);
+        let mut resized = ProblemSpec::conv1d(600, 5);
+        resized.name = base.name.clone();
+        let mut retensored = base.clone();
+        retensored.tensors[1].kind = TensorKind::Output;
+        let mut renamed_tensor = base.clone();
+        renamed_tensor.tensors[0].name = "J".to_string();
+        let problems = [base, resized, retensored, renamed_tensor];
+        let tags = [RequestConfig::default().search_tag()];
+        let mut service = service();
+        let fingerprints = check(&mut service, &problems, &tags);
+        for (i, a) in fingerprints.iter().enumerate() {
+            assert!(!fingerprints[i + 1..].contains(a), "{problems:?}");
+        }
+        assert_eq!(service.prefixes.len, problems.len());
+    }
+
+    #[test]
+    fn swapping_the_searcher_clears_the_memo() {
+        let problems: Vec<ProblemSpec> = table1::all_problems()
+            .into_iter()
+            .map(|t| t.problem)
+            .collect();
+        let tags = tags();
+        let mut service = service();
+        let random = check(&mut service, &problems, &tags);
+        let mut service = service.with_searcher(annealing());
+        assert_eq!(service.prefixes.len, 0);
+        let annealed = check(&mut service, &problems, &tags);
+        assert!(random.iter().zip(&annealed).all(|(r, a)| r != a));
+    }
+
+    #[test]
+    fn a_memo_filled_past_its_cap_stays_exact_and_bounded() {
+        let problems: Vec<ProblemSpec> = (0..PREFIX_MEMO_CAPACITY as u64 + 100)
+            .map(|i| ProblemSpec::conv1d(8 + i, 1 + i % 7))
+            .collect();
+        let tags = [RequestConfig::default().with_seed(3).search_tag()];
+        let mut service = service();
+        let first = check(&mut service, &problems, &tags);
+        assert!(service.prefixes.len <= PREFIX_MEMO_CAPACITY);
+        assert_eq!(service.prefixes.len, 100, "cleared once, at the cap");
+        // The problems the clear dropped are rendered again, to the same key.
+        assert_eq!(check(&mut service, &problems[..200], &tags), first[..200]);
+    }
+
+    /// A random problem: one of three names, one to four dimensions, zero
+    /// to two input tensors and an output over single or compound
+    /// coordinates — so names collide across different specs.
+    fn random_problem(rng: &mut StdRng) -> ProblemSpec {
+        const NAMES: [&str; 3] = ["p", "q", "conv1d_w400_r5"];
+        const DIMS: [&str; 4] = ["X", "R", "K", "C"];
+        let dims = rng.gen_range(1..=DIMS.len());
+        let sizes = DIMS[..dims]
+            .iter()
+            .map(|&name| (name, rng.gen_range(1..=64u64)))
+            .collect();
+        let mut tensors = Vec::new();
+        for t in 0..rng.gen_range(0..3) {
+            let dim = TensorDim::Single(DimId(rng.gen_range(0..dims)));
+            tensors.push(TensorSpec::new(
+                format!("T{t}"),
+                TensorKind::Input,
+                vec![dim],
+            ));
+        }
+        let (a, b) = (DimId(rng.gen_range(0..dims)), DimId(rng.gen_range(0..dims)));
+        let out = if rng.gen_bool(0.5) {
+            TensorDim::Single(a)
+        } else {
+            TensorDim::Compound(a, b)
+        };
+        tensors.push(TensorSpec::new("O", TensorKind::Output, vec![out]));
+        ProblemSpec::new(NAMES[rng.gen_range(0..NAMES.len())], sizes, tensors)
+    }
+
+    fn random_tag(rng: &mut StdRng) -> String {
+        let sync = match rng.gen_range(0..3) {
+            0 => SyncPolicy::Off,
+            1 => SyncPolicy::Anchor,
+            _ => SyncPolicy::Annealed {
+                start: rng.gen_range(0.0..1.0),
+                end: rng.gen_range(0.0..1.0),
+            },
+        };
+        RequestConfig::default()
+            .with_seed(rng.next_u64())
+            .with_search_size(rng.gen_range(0..100_000))
+            .with_shards(rng.gen_range(0..9))
+            .with_sync(sync)
+            .search_tag()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases_env(32))]
+
+        /// Random problems under random tags, with the searcher swapped
+        /// once part-way, equal the oracle at every step.
+        #[test]
+        fn random_problems_and_tags_match_the_oracle(seed in 0u64..u64::MAX) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let problems: Vec<ProblemSpec> = (0..12).map(|_| random_problem(&mut rng)).collect();
+            let tags: Vec<String> = (0..4).map(|_| random_tag(&mut rng)).collect();
+            let swap_at = rng.gen_range(0..64);
+            let mut service = service();
+            for step in 0..64 {
+                if step == swap_at {
+                    service = service.with_searcher(annealing());
+                }
+                let problem = &problems[rng.gen_range(0..problems.len())];
+                let tag = &tags[rng.gen_range(0..tags.len())];
+                let expected = oracle(&service.identity_tag, problem, tag);
+                prop_assert_eq!(service.fingerprint(problem, tag), expected);
+            }
+        }
     }
 }

@@ -23,6 +23,9 @@
 //! And for Phase 1: `Trainer::fit` allocates its buffers during the first
 //! mini-batch and nothing after it, however many batches and epochs follow.
 //!
+//! And for the service's warm path: a request answered wholly from the
+//! result cache allocates its report and a fixed count besides.
+//!
 //! Allocations are counted per thread: the harness's main thread does its
 //! own bookkeeping (its table of running tests, its channel's waker) after
 //! it has spawned the test's thread, and on a busy two-core box that can
@@ -193,6 +196,54 @@ fn training_allocates_nothing_after_the_first_batch() {
         one_epoch,
         "20 further training batches allocated {} times",
         five_epochs.abs_diff(one_epoch)
+    );
+}
+
+/// A replayed request — every layer answered from the result cache —
+/// allocates what cloning its own report does plus a fixed count (its
+/// search tag, its plan, the parked result), however many layers it has:
+/// once a problem has been seen, fingerprinting its layer allocates nothing.
+#[test]
+fn a_cached_replay_allocates_its_report_and_a_fixed_count() {
+    // Journal events and telemetry snapshots allocate per layer and per
+    // request by design; the contract is about the service's own work, and
+    // no other test in this binary allocates differently by level.
+    let level = mm_telemetry::level();
+    mm_telemetry::set_level(mm_telemetry::Level::Off);
+    const FIXED: u64 = 8;
+
+    let network = table1_network();
+    let mut service = MappingService::new(
+        evaluated_accelerator(),
+        ServiceConfig::default().with_workers(1),
+    );
+    let config = RequestConfig::default()
+        .with_search_size(16)
+        .with_tenant("tenant0");
+    service.map_network_with(&network, config.clone());
+    let mut replay = || {
+        let config = config.clone();
+        let before = allocations();
+        let handle = service.submit(&network, config).expect("admitted");
+        let report = service.wait(handle).expect("replayed");
+        (allocations() - before, report)
+    };
+    // Warm-up: the service's maps and counters take their shape.
+    for _ in 0..4 {
+        replay();
+    }
+    let (replay_allocs, report) = replay();
+    mm_telemetry::set_level(level);
+
+    assert_eq!(report.cache_hits, network.len());
+    let before = allocations();
+    let copy = report.clone();
+    let clone_allocs = allocations() - before;
+    assert_eq!(copy.layers.len(), network.len());
+    assert!(
+        replay_allocs <= clone_allocs + FIXED,
+        "a {}-layer replay allocated {replay_allocs} times; cloning its report {clone_allocs}",
+        network.len()
     );
 }
 
