@@ -29,9 +29,8 @@
 //! "Proposal generation" and "Surrogate kernels and Phase 1" tables; the last lines printed are ns per
 //! evaluation of the reference walk against the kernel and ns per proposal
 //! against the kernel, so both ratios are visible in a CI log. Purely
-//! informational — `BENCH_mapper.json` (regenerated by
-//! `mapper_throughput`) is the artifact `bench_gate` checks. Tune with
-//! `MM_EVAL_HOT_PATH_EVALS` (default 100000 analytic evaluations;
+//! informational: performance claims are measured by the `benchmark/`
+//! package. Tune with `MM_EVAL_HOT_PATH_EVALS` (default 100000 analytic evaluations;
 //! the surrogate runs 1/10 of that).
 
 use mm_accel::reuse::count_accesses;

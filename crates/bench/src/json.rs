@@ -1,12 +1,11 @@
-//! A minimal JSON value parser shared by the bench gate and the
-//! telemetry-report tooling.
+//! A minimal JSON value parser for `telemetry_report`.
 //!
 //! The workspace is fully offline (no serde_json), so this hand-rolled
-//! ~200-line parser is the one source of truth for reading the flat JSON
-//! documents the benches emit (`BENCH_*.json`, telemetry snapshots).
+//! ~200-line parser reads the telemetry snapshots and Chrome traces that
+//! `mm-telemetry` renders.
 
 /// A parsed JSON value (number-centric: every number becomes `f64`, which
-/// is lossless for the magnitudes the benches emit).
+/// is lossless for the magnitudes a snapshot holds).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
     /// `null`.
@@ -145,9 +144,9 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                     b'\\' => '\\',
                     b'/' => '/',
                     other => {
-                        // \uXXXX and exotic escapes never occur in the
-                        // bench output; keep them verbatim rather than
-                        // failing the whole gate.
+                        // \uXXXX and exotic escapes never occur in a
+                        // snapshot; keep them verbatim rather than failing
+                        // the whole document.
                         *other as char
                     }
                 });

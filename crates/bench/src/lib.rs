@@ -3,9 +3,9 @@
 //! The experiment harness that regenerates every table and figure of the
 //! Mind Mappings evaluation (Section 5). Each figure/table has a dedicated
 //! binary under `src/bin/`; see README.md ("Experiments") for the experiment
-//! index and EXPERIMENTS.md for paper-vs-measured results. Criterion
-//! micro-benchmarks (cost-model throughput, surrogate step cost, per-step
-//! cost of each search method, map-space operations) live under `benches/`.
+//! index and EXPERIMENTS.md for paper-vs-measured results. `eval_hot_path`
+//! prints ns per evaluation, proposal and surrogate pass; performance claims
+//! are measured by the `benchmark/` package instead.
 //!
 //! All experiments share:
 //!
@@ -18,28 +18,13 @@
 //! * [`report`] — CSV/table output helpers (results land in `results/`).
 
 pub mod comparison;
-pub mod concurrent_bench;
-pub mod gate;
 pub mod json;
-pub mod mapper_scaling;
 pub mod output;
 pub mod report;
 pub mod scale;
-pub mod serve_bench;
-pub mod shard_bench;
-pub mod sync_bench;
 
 pub use comparison::{run_comparison, ComparisonResult, MethodRun};
-pub use concurrent_bench::{run_concurrent_bench, ConcurrentBenchResult};
-pub use gate::{run_gate, GateCheck, GateReport, GateTolerances};
-pub use mapper_scaling::{
-    measure_telemetry_overhead, measure_telemetry_overhead_at, run_mapper_scaling,
-    MapperScalingResult, ScalingPoint,
-};
 pub use scale::ExperimentScale;
-pub use serve_bench::{run_serve_bench, ServeBenchResult};
-pub use shard_bench::{run_shard_bench, ShardBenchPoint, ShardBenchResult};
-pub use sync_bench::{run_sync_bench, SyncBenchPoint, SyncBenchResult};
 
 use mm_core::{MindMappingsError, Phase1Config, Surrogate};
 use mm_nn::TrainHistory;

@@ -1,15 +1,11 @@
-//! Shared output vocabulary for the bench binaries and harnesses.
+//! Shared output vocabulary for the paper-figure binaries.
 //!
-//! Column headers, progress lines, and JSON scaffolding that several
-//! binaries emit live here once, so the copies cannot drift apart (the
-//! `dup-literal` rule in mm-lint enforces this).
+//! Column headers and progress lines that several binaries emit live here
+//! once, so the copies cannot drift apart (the `dup-literal` rule in mm-lint
+//! enforces this).
 
 /// CSV column name for the best normalized EDP a search found.
 pub const BEST_NORMALIZED_EDP_COLUMN: &str = "search_best_normalized_edp";
-
-/// The concurrent-serving bench summary: written by
-/// [`crate::concurrent_bench`], gated by [`crate::gate`].
-pub const SERVE_CONCURRENT_BENCH_FILE: &str = "BENCH_serve_concurrent.json";
 
 /// Human table header for the same quantity.
 pub const BEST_NORMALIZED_EDP_LABEL: &str = "best EDP found (normalized)";
@@ -27,34 +23,4 @@ pub const TRAINING_MTTKRP_SURROGATE: &str = "training MTTKRP surrogate…";
 /// the paper's reported value (Table 3: 5.32x).
 pub fn print_mm_distance_to_minimum(formatted_geomean: &str) {
     println!("  MM distance to algorithmic minimum: {formatted_geomean}x   (paper: 5.32x)");
-}
-
-/// The shared `{ "bench": ..., "problems": ..., ... "points": [` preamble
-/// of the throughput-bench JSON summaries.
-pub fn bench_json_header(
-    bench: &str,
-    problems: &[String],
-    evals_per_problem: u64,
-    threads: usize,
-    available_parallelism: usize,
-) -> String {
-    format!(
-        "{{\n  \"bench\": \"{bench}\",\n  \"problems\": {problems:?},\n  \
-         \"evals_per_problem\": {evals_per_problem},\n  \"threads\": {threads},\n  \
-         \"available_parallelism\": {available_parallelism},\n  \"points\": [\n"
-    )
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn json_header_is_valid_json_when_closed() {
-        let header = bench_json_header("x", &["a".to_string()], 5, 2, 8);
-        let doc = format!("{header}  ]\n}}\n");
-        let parsed = crate::json::parse_json(&doc).expect("header parses");
-        assert_eq!(parsed.get("bench").and_then(|v| v.as_str()), Some("x"));
-        assert_eq!(parsed.get("threads").and_then(|v| v.as_f64()), Some(2.0));
-    }
 }

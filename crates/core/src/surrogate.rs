@@ -356,22 +356,6 @@ impl Surrogate {
             .backward_input(cache, weights, &mut scratch.backward)
             .as_slice()
     }
-
-    /// Mean-squared error of predicted vs. true normalized EDP over a set of
-    /// labelled mappings — the surrogate-quality metric behind the "32.8×
-    /// lower MSE" claim for the meta-statistics output representation.
-    pub fn edp_mse(&self, samples: &[(ProblemSpec, Mapping, f64)]) -> f64 {
-        if samples.is_empty() {
-            return 0.0;
-        }
-        let mut total = 0.0;
-        for (problem, mapping, true_normalized_edp) in samples {
-            let pred = self.predict_normalized_edp(problem, mapping);
-            let d = pred - true_normalized_edp;
-            total += d * d;
-        }
-        total / samples.len() as f64
-    }
 }
 
 #[cfg(test)]

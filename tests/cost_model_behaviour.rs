@@ -1,9 +1,12 @@
 //! Integration tests of the cost model's qualitative behaviour on the
 //! paper's workloads: the properties that make mapping space search hard
-//! (Section 3.1) and the properties any credible accelerator model must have.
+//! (Section 3.1) and the properties any credible accelerator model must have,
+//! including metamorphic relations that hold to the bit.
 
+use mind_mappings::accel::{AlgorithmicMinimum, MemLevelSpec};
 use mind_mappings::prelude::*;
 use mind_mappings::workloads::cnn::CnnLayer;
+use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -132,4 +135,91 @@ fn map_space_size_estimates_match_paper_magnitude() {
     );
     assert!(cnn.log10_size_estimate() > 20.0);
     assert!(mttkrp.log10_size_estimate() > 15.0);
+}
+
+/// A random valid mapping of Table 1 problem `index`, its accelerator and
+/// its cost there.
+fn table1_sample(index: usize, seed: u64) -> (Architecture, ProblemSpec, Mapping, CostBreakdown) {
+    let problem = table1::all_problems().swap_remove(index).problem;
+    let arch = evaluated_accelerator();
+    let space = MapSpace::new(problem.clone(), arch.mapping_constraints());
+    let mapping = space.random_mapping(&mut StdRng::seed_from_u64(seed));
+    let cost = CostModel::new(arch.clone(), problem.clone()).evaluate(&mapping);
+    (arch, problem, mapping, cost)
+}
+
+/// Memory level `index` of `arch`, in `Level::index` order (L1, L2, DRAM).
+fn level_mut(arch: &mut Architecture, index: usize) -> &mut MemLevelSpec {
+    match index {
+        0 => &mut arch.l1,
+        1 => &mut arch.l2,
+        _ => &mut arch.dram,
+    }
+}
+
+fn row_bits(energy_pj: &[Vec<f64>]) -> Vec<Vec<u64>> {
+    energy_pj
+        .iter()
+        .map(|row| row.iter().map(|e| e.to_bits()).collect())
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases_env(32))]
+
+    /// Bandwidth only bounds time: raising one level's bandwidth never
+    /// raises cycles and leaves every energy bit where it was.
+    #[test]
+    fn raising_a_bandwidth_never_raises_cycles_nor_moves_energy(
+        problem in 0usize..8,
+        seed in 0u64..1_000_000,
+        level in 0usize..3,
+        eighths in 1u32..64,
+    ) {
+        let (mut arch, problem, mapping, base) = table1_sample(problem, seed);
+        level_mut(&mut arch, level).bandwidth_words_per_cycle *= 1.0 + f64::from(eighths) / 8.0;
+        let faster = CostModel::new(arch, problem).evaluate(&mapping);
+        prop_assert!(faster.cycles <= base.cycles, "{} > {}", faster.cycles, base.cycles);
+        prop_assert_eq!(row_bits(&faster.energy_pj), row_bits(&base.energy_pj));
+        prop_assert_eq!(faster.compute_energy_pj.to_bits(), base.compute_energy_pj.to_bits());
+        prop_assert_eq!(faster.total_energy_pj.to_bits(), base.total_energy_pj.to_bits());
+    }
+
+    /// Scaling one level's energy per access by a power of two scales
+    /// exactly that level's energy row by it, bit for bit, and moves no
+    /// other row, the MAC energy or the cycles.
+    #[test]
+    fn scaling_an_energy_per_access_scales_exactly_its_row(
+        problem in 0usize..8,
+        seed in 0u64..1_000_000,
+        level in 0usize..3,
+        halve in 0usize..2,
+    ) {
+        let (mut arch, problem, mapping, base) = table1_sample(problem, seed);
+        let k = [2.0, 0.5][halve];
+        level_mut(&mut arch, level).energy_per_access_pj *= k;
+        let scaled = CostModel::new(arch, problem).evaluate(&mapping);
+        let expected: Vec<Vec<f64>> = base
+            .energy_pj
+            .iter()
+            .enumerate()
+            .map(|(l, row)| row.iter().map(|e| if l == level { e * k } else { *e }).collect())
+            .collect();
+        prop_assert_eq!(row_bits(&scaled.energy_pj), row_bits(&expected));
+        prop_assert_eq!(scaled.compute_energy_pj.to_bits(), base.compute_energy_pj.to_bits());
+        prop_assert_eq!(scaled.cycles.to_bits(), base.cycles.to_bits());
+    }
+
+    /// The algorithmic minimum bounds every mapping's energy and cycles
+    /// with no slack.
+    #[test]
+    fn algorithmic_minimum_bounds_every_mapping_without_slack(
+        problem in 0usize..8,
+        seed in 0u64..1_000_000,
+    ) {
+        let (arch, problem, _, cost) = table1_sample(problem, seed);
+        let bound = AlgorithmicMinimum::compute(&arch, &problem);
+        prop_assert!(bound.energy_pj <= cost.total_energy_pj, "{} > {}", bound.energy_pj, cost.total_energy_pj);
+        prop_assert!(bound.cycles <= cost.cycles, "{} > {}", bound.cycles, cost.cycles);
+    }
 }

@@ -22,6 +22,12 @@
 //! and `mapper` blocks pin the step's other caller, `GradientProposer`,
 //! under the two drivers that run it.
 //!
+//! A fourth fixture, `search_quality.txt`, pins what the searches find:
+//! best cost per problem, geomean and distinct best L2 orders for SA across
+//! shard counts and sync policies and for random search across shard
+//! counts, plus a digest of every evaluated cost, so that a change which
+//! moves the stream without moving a best still shows.
+//!
 //! Regenerate deliberately with `MM_BLESS=1 cargo test --test
 //! golden_determinism` after an intentional behaviour change, and commit
 //! the new fixtures with the code that changed them.
@@ -146,21 +152,22 @@ fn phase1() -> Phase1Config {
     }
 }
 
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Continue an FNV-1a hash over `bytes`.
+fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(hash, |hash, &byte| {
+        (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
 /// FNV-1a over the bit patterns of every weight and bias, in layer order.
 fn weight_checksum(surrogate: &Surrogate) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    let mut word = |bits: u32| {
-        for byte in bits.to_le_bytes() {
-            hash = (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
+    let mut hash = FNV_OFFSET;
     for layer in surrogate.mlp().layers() {
-        layer
-            .weight()
-            .as_slice()
-            .iter()
-            .for_each(|w| word(w.to_bits()));
-        layer.bias().iter().for_each(|b| word(b.to_bits()));
+        for value in layer.weight().as_slice().iter().chain(layer.bias()) {
+            hash = fnv1a(hash, &value.to_bits().to_le_bytes());
+        }
     }
     hash
 }
@@ -467,4 +474,162 @@ fn table1_shard_capacity_beats_the_single_axis_formula() {
         checked >= 2,
         "at least two Table 1 layers must exercise the parallelism axis, got {checked}"
     );
+}
+
+/// Seed and per-problem budget of the search-quality sweeps.
+const QUALITY_SEED: u64 = 7;
+const QUALITY_EVALS: u64 = 200;
+/// Short enough that a 4-shard share of 200 evaluations crosses three
+/// rounds, so the sync policies act.
+const QUALITY_SYNC_INTERVAL: u64 = 16;
+
+/// FNV-1a over the bits of every evaluated cost, shard by shard: it pins the
+/// whole search stream, not only where it ended.
+fn trace_digest(report: &MapperReport) -> u64 {
+    let mut hash = FNV_OFFSET;
+    for shard in &report.shards {
+        for point in &shard.trace.as_ref().expect("traces recorded").points {
+            hash = fnv1a(hash, &point.cost.to_bits().to_le_bytes());
+        }
+    }
+    hash
+}
+
+/// Run `config` over every problem and append one block: per problem the
+/// best cost (bits and `{:e}`), the evaluations spent, the best mapping's
+/// L2 loop order and the [`trace_digest`]; then the geometric-mean best
+/// cost and the number of distinct L2 orders among the per-shard bests,
+/// summed over the problems.
+fn quality_block(
+    out: &mut String,
+    header: &str,
+    problems: &[ProblemSpec],
+    config: &MapperConfig,
+    searcher: fn() -> Box<dyn ProposalSearch>,
+) {
+    let arch = evaluated_accelerator();
+    let mut log_sum = 0.0f64;
+    let mut distinct_orders = 0usize;
+    writeln!(out, "{header}").unwrap();
+    for problem in problems {
+        let space = MapSpace::new(problem.clone(), arch.mapping_constraints());
+        let evaluator: Arc<dyn CostEvaluator> = Arc::new(ModelEvaluator::edp(CostModel::new(
+            arch.clone(),
+            problem.clone(),
+        )));
+        let report = Mapper::new(config.clone()).run(&space, evaluator, |_| searcher());
+        let best = report.best_cost();
+        let l2_order = &report
+            .best_mapping
+            .as_ref()
+            .expect("a best mapping")
+            .loop_orders[1];
+        writeln!(
+            out,
+            "  {:?} best {:016x} {best:e} evals {} l2 {l2_order:?} trace {:016x}",
+            problem.name,
+            best.to_bits(),
+            report.total_evaluations,
+            trace_digest(&report),
+        )
+        .unwrap();
+        log_sum += best.ln();
+        let mut orders: Vec<&Vec<usize>> = report
+            .shards
+            .iter()
+            .filter_map(|s| s.best.as_ref().map(|(m, _)| &m.loop_orders[1]))
+            .collect();
+        orders.sort();
+        orders.dedup();
+        distinct_orders += orders.len();
+    }
+    let geomean = (log_sum / problems.len() as f64).exp();
+    writeln!(
+        out,
+        "  geomean {geomean:.6e} {:016x} distinct_best_l2_orders {distinct_orders}",
+        geomean.to_bits()
+    )
+    .unwrap();
+}
+
+fn simulated_annealing() -> Box<dyn ProposalSearch> {
+    Box::new(SimulatedAnnealing::default())
+}
+
+fn random_search() -> Box<dyn ProposalSearch> {
+    Box::new(RandomSearch::new())
+}
+
+/// The three search-quality sweeps at `threads` workers:
+/// * SA over conv1d plus the Table 1 problems, at 1/2/4/8 disjoint shards;
+/// * the same at 1/2/4 shards under each sync policy;
+/// * random search on ResNet Conv_4 at 1/2/4/8 shards of 200 evaluations.
+fn search_quality(threads: usize) -> String {
+    let mut problems = vec![ProblemSpec::conv1d(1024, 7)];
+    problems.extend(table1::all_problems().into_iter().map(|t| t.problem));
+    let sharded = |shards: usize, search_size: u64| MapperConfig {
+        threads,
+        shards: Some(shards),
+        shard_space: shards > 1,
+        seed: QUALITY_SEED,
+        termination: TerminationPolicy::search_size(search_size),
+        record_traces: true,
+        ..MapperConfig::default()
+    };
+
+    let mut out = String::new();
+    for shards in [1, 2, 4, 8] {
+        quality_block(
+            &mut out,
+            &format!("shard_scaling shards {shards}"),
+            &problems,
+            &sharded(shards, QUALITY_EVALS),
+            simulated_annealing,
+        );
+    }
+    let annealed = SyncPolicy::Annealed {
+        start: 0.9,
+        end: 0.1,
+    };
+    for sync in [SyncPolicy::Off, SyncPolicy::Anchor, annealed] {
+        for shards in [1, 2, 4] {
+            quality_block(
+                &mut out,
+                &format!("sync_policy {sync} shards {shards}"),
+                &problems,
+                &MapperConfig {
+                    sync,
+                    sync_interval: QUALITY_SYNC_INTERVAL,
+                    ..sharded(shards, QUALITY_EVALS)
+                },
+                simulated_annealing,
+            );
+        }
+    }
+    let conv4 = [table1::by_name("ResNet Conv_4")
+        .expect("table1 problem")
+        .problem];
+    for shards in [1, 2, 4, 8] {
+        quality_block(
+            &mut out,
+            &format!("mapper_throughput random shards {shards}"),
+            &conv4,
+            &MapperConfig {
+                shard_space: false,
+                ..sharded(shards, QUALITY_EVALS * shards as u64)
+            },
+            random_search,
+        );
+    }
+    out
+}
+
+/// Seed-deterministic search quality of the `Mapper`: SA across disjoint
+/// shard counts and sync policies, and random search across shard counts.
+/// The rows are the same at 1 and 2 workers, and pinned to the bit.
+#[test]
+fn search_quality_matches_fixture() {
+    let one = search_quality(1);
+    assert_eq!(one, search_quality(2), "quality must not depend on workers");
+    check_fixture("search_quality.txt", &one);
 }
