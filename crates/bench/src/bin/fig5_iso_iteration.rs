@@ -5,141 +5,17 @@
 //! evaluations on every Table 1 target problem; for the baselines those are
 //! queries of the reference cost model, for Mind Mappings they are surrogate
 //! queries (Section 5.2). Results are averaged over `MM_RUNS` runs and
-//! reported as EDP normalized to the algorithmic minimum.
+//! reported as EDP normalized to the algorithmic minimum; the paper reports
+//! Mind Mappings 1.40× / 1.76× / 1.29× better than SA / GA / RL.
 //!
-//! Outputs `results/fig5_traces.csv` (per-iteration best-so-far curves) and
-//! `results/fig5_summary.csv` (final best per method per problem).
+//! Writes `results/fig5_{summary,traces,step_cost}.csv`
+//! (see [`mm_bench::comparison::run_figure`]).
 
-use mm_bench::comparison::{run_comparison, MethodSelection};
-use mm_bench::output;
-use mm_bench::report::{self, fmt, format_table};
-use mm_bench::{geometric_mean, train_surrogate, ExperimentScale};
+use mm_bench::{comparison, ExperimentScale};
 use mm_search::Budget;
-use mm_workloads::table1::{self, Algorithm};
-use rand::SeedableRng;
 
 fn main() {
     let scale = ExperimentScale::from_env();
-    println!(
-        "Figure 5 (iso-iteration), scale '{}': {} iterations, {} runs/method",
-        scale.name, scale.search_iterations, scale.runs
-    );
-
-    // Phase 1: one surrogate per target algorithm (Section 5.3).
-    let mut rng = rand::rngs::StdRng::seed_from_u64(42);
-    println!(
-        "training CNN-Layer surrogate ({} samples)…",
-        scale.surrogate_samples
-    );
-    let (cnn_surrogate, _) =
-        train_surrogate(Algorithm::CnnLayer, &scale, &mut rng).expect("CNN surrogate");
-    println!(
-        "training MTTKRP surrogate ({} samples)…",
-        scale.surrogate_samples
-    );
-    let (mttkrp_surrogate, _) =
-        train_surrogate(Algorithm::Mttkrp, &scale, &mut rng).expect("MTTKRP surrogate");
-
-    let mut trace_rows = Vec::new();
-    let mut summary_rows = Vec::new();
-    let mut ratios_sa = Vec::new();
-    let mut ratios_ga = Vec::new();
-    let mut ratios_rl = Vec::new();
-    let mut mm_norm = Vec::new();
-
-    for target in table1::all_problems() {
-        let surrogate = match target.algorithm {
-            Algorithm::CnnLayer => &cnn_surrogate,
-            Algorithm::Mttkrp => &mttkrp_surrogate,
-        };
-        println!("searching {} …", target.problem.name);
-        let result = run_comparison(
-            &target.problem,
-            Some(surrogate),
-            Budget::iterations(scale.search_iterations),
-            scale.runs,
-            MethodSelection::default(),
-            0xF1605 ^ target.problem.name.len() as u64,
-        );
-
-        let mut row = vec![target.problem.name.clone()];
-        for m in &result.methods {
-            row.push(format!("{}={}", m.method, fmt(m.best_normalized_edp)));
-            // Down-sample the per-iteration trace for the CSV.
-            for p in m
-                .trace
-                .points
-                .iter()
-                .step_by(10.max(m.trace.points.len() / 200))
-            {
-                trace_rows.push(vec![
-                    target.problem.name.clone(),
-                    m.method.clone(),
-                    p.queries.to_string(),
-                    fmt(p.best_cost),
-                ]);
-            }
-        }
-        summary_rows.push(row);
-
-        if let Some(r) = result.ratio_vs_mm("SA") {
-            ratios_sa.push(r);
-        }
-        if let Some(r) = result.ratio_vs_mm("GA") {
-            ratios_ga.push(r);
-        }
-        if let Some(r) = result.ratio_vs_mm("RL") {
-            ratios_rl.push(r);
-        }
-        if let Some(v) = result.best_of("MM") {
-            mm_norm.push(v);
-        }
-    }
-
-    let traces_path = report::write_csv(
-        "fig5_traces.csv",
-        &["problem", "method", "iteration", "best_normalized_edp"],
-        &trace_rows,
-    )
-    .expect("write traces");
-    let summary_path = report::write_csv(
-        "fig5_summary.csv",
-        &["problem", output::METHODS_SUMMARY_COLUMN],
-        &summary_rows
-            .iter()
-            .map(|r| vec![r[0].clone(), r[1..].join(" ")])
-            .collect::<Vec<_>>(),
-    )
-    .expect("write summary");
-
-    println!("\nFinal best normalized EDP per method:");
-    println!(
-        "{}",
-        format_table(
-            &["problem", "results"],
-            &summary_rows
-                .iter()
-                .map(|r| vec![r[0].clone(), r[1..].join("  ")])
-                .collect::<Vec<_>>()
-        )
-    );
-    println!("Average EDP improvement of Mind Mappings (geometric mean across problems):");
-    println!(
-        "  vs SA: {}x   (paper: 1.40x)",
-        fmt(geometric_mean(&ratios_sa))
-    );
-    println!(
-        "  vs GA: {}x   (paper: 1.76x)",
-        fmt(geometric_mean(&ratios_ga))
-    );
-    println!(
-        "  vs RL: {}x   (paper: 1.29x)",
-        fmt(geometric_mean(&ratios_rl))
-    );
-    output::print_mm_distance_to_minimum(&fmt(geometric_mean(&mm_norm)));
-    println!(
-        "wrote {} and {}",
-        traces_path.display(),
-        summary_path.display()
-    );
+    let budget = Budget::iterations(scale.search_iterations);
+    comparison::run_figure("fig5", &scale, budget, 42, 0xF1605, [1.40, 1.76, 1.29]);
 }

@@ -3,140 +3,21 @@
 //! Every method is given the same wall-clock budget per problem. The
 //! baselines must pay for a reference cost-model evaluation on every step,
 //! while Mind Mappings only queries its surrogate, so it completes far more
-//! steps per unit time (Section 5.4.2). Also reports seconds-per-step for
-//! every method (the paper's 153.7x / 286.8x / 425.5x per-step speedups).
+//! steps per unit time (Section 5.4.2). The paper reports Mind Mappings
+//! 3.16× / 4.19× / 2.90× better than SA / GA / RL, and a step 153.7× /
+//! 286.8× / 425.5× cheaper.
 //!
-//! Outputs `results/fig6_traces.csv` and `results/fig6_summary.csv`.
+//! Writes `results/fig6_{summary,traces,step_cost}.csv`
+//! (see [`mm_bench::comparison::run_figure`]).
 
-use mm_bench::output;
 use std::time::Duration;
 
-use mm_bench::comparison::{run_comparison, MethodSelection};
-use mm_bench::report::{self, fmt, format_table};
-use mm_bench::{geometric_mean, train_surrogate, ExperimentScale};
+use mm_bench::{comparison, ExperimentScale};
 use mm_search::Budget;
-use mm_workloads::table1::{self, Algorithm};
-use rand::SeedableRng;
 
 fn main() {
     let scale = ExperimentScale::from_env();
-    let budget = Duration::from_millis(scale.time_budget_ms);
-    println!(
-        "Figure 6 (iso-time), scale '{}': {} ms wall-clock per method, {} runs",
-        scale.name, scale.time_budget_ms, scale.runs
-    );
-
-    let mut rng = rand::rngs::StdRng::seed_from_u64(43);
-    println!("{}", output::TRAINING_CNN_SURROGATE);
-    let (cnn_surrogate, _) =
-        train_surrogate(Algorithm::CnnLayer, &scale, &mut rng).expect("CNN surrogate");
-    println!("{}", output::TRAINING_MTTKRP_SURROGATE);
-    let (mttkrp_surrogate, _) =
-        train_surrogate(Algorithm::Mttkrp, &scale, &mut rng).expect("MTTKRP surrogate");
-
-    let mut trace_rows = Vec::new();
-    let mut summary_rows = Vec::new();
-    let mut ratios = [Vec::new(), Vec::new(), Vec::new()]; // SA, GA, RL
-    let mut step_cost_rows = Vec::new();
-
-    for target in table1::all_problems() {
-        let surrogate = match target.algorithm {
-            Algorithm::CnnLayer => &cnn_surrogate,
-            Algorithm::Mttkrp => &mttkrp_surrogate,
-        };
-        println!("searching {} …", target.problem.name);
-        let result = run_comparison(
-            &target.problem,
-            Some(surrogate),
-            Budget::queries_and_time(u64::MAX / 2, budget),
-            scale.runs,
-            MethodSelection::default(),
-            0xF1606 ^ target.problem.name.len() as u64,
-        );
-
-        let mm_step = result
-            .methods
-            .iter()
-            .find(|m| m.method == "MM")
-            .map(|m| m.seconds_per_query)
-            .unwrap_or(f64::NAN);
-
-        let mut row = vec![target.problem.name.clone()];
-        for m in &result.methods {
-            row.push(format!("{}={}", m.method, fmt(m.best_normalized_edp)));
-            for p in m
-                .trace
-                .points
-                .iter()
-                .step_by(10.max(m.trace.points.len() / 200))
-            {
-                trace_rows.push(vec![
-                    target.problem.name.clone(),
-                    m.method.clone(),
-                    fmt(p.elapsed_s),
-                    fmt(p.best_cost),
-                ]);
-            }
-            step_cost_rows.push(vec![
-                target.problem.name.clone(),
-                m.method.clone(),
-                fmt(m.seconds_per_query),
-                fmt(m.seconds_per_query / mm_step.max(1e-12)),
-            ]);
-        }
-        summary_rows.push(row);
-        for (i, name) in ["SA", "GA", "RL"].iter().enumerate() {
-            if let Some(r) = result.ratio_vs_mm(name) {
-                ratios[i].push(r);
-            }
-        }
-    }
-
-    report::write_csv(
-        "fig6_traces.csv",
-        &["problem", "method", "elapsed_s", "best_normalized_edp"],
-        &trace_rows,
-    )
-    .expect("write traces");
-    report::write_csv(
-        "fig6_step_cost.csv",
-        &["problem", "method", "seconds_per_step", "slowdown_vs_mm"],
-        &step_cost_rows,
-    )
-    .expect("write step costs");
-    let summary_path = report::write_csv(
-        "fig6_summary.csv",
-        &["problem", output::METHODS_SUMMARY_COLUMN],
-        &summary_rows
-            .iter()
-            .map(|r| vec![r[0].clone(), r[1..].join(" ")])
-            .collect::<Vec<_>>(),
-    )
-    .expect("write summary");
-
-    println!("\nFinal best normalized EDP per method (iso-time):");
-    println!(
-        "{}",
-        format_table(
-            &["problem", "results"],
-            &summary_rows
-                .iter()
-                .map(|r| vec![r[0].clone(), r[1..].join("  ")])
-                .collect::<Vec<_>>()
-        )
-    );
-    println!("Average iso-time EDP improvement of Mind Mappings (geometric mean):");
-    println!(
-        "  vs SA: {}x   (paper: 3.16x)",
-        fmt(geometric_mean(&ratios[0]))
-    );
-    println!(
-        "  vs GA: {}x   (paper: 4.19x)",
-        fmt(geometric_mean(&ratios[1]))
-    );
-    println!(
-        "  vs RL: {}x   (paper: 2.90x)",
-        fmt(geometric_mean(&ratios[2]))
-    );
-    println!("wrote {}", summary_path.display());
+    let limit = Duration::from_millis(scale.time_budget_ms);
+    let budget = Budget::queries_and_time(u64::MAX / 2, limit);
+    comparison::run_figure("fig6", &scale, budget, 43, 0xF1606, [3.16, 4.19, 2.90]);
 }
